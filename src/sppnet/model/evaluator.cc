@@ -7,6 +7,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -28,6 +29,14 @@ LoadVector InstanceLoads::MeanOf(const std::vector<LoadVector>& loads) {
 
 namespace {
 
+/// How many entries ahead the accumulate loops prefetch the randomly
+/// addressed records they will touch. Every loop there is bound by
+/// memory latency, not by arithmetic.
+constexpr std::size_t kPrefetchAhead = 16;
+
+inline void PrefetchRead(const void* p) { __builtin_prefetch(p, 0); }
+inline void PrefetchWrite(const void* p) { __builtin_prefetch(p, 1); }
+
 /// Raw per-entity accumulation in bytes/sec and processing units/sec;
 /// converted to bps / Hz only at the very end.
 struct RawLoad {
@@ -36,29 +45,64 @@ struct RawLoad {
   double units = 0.0;
 };
 
-constexpr std::uint16_t kUnreachedDepth = 0xFFFF;
-
 /// One (source, node) element of a batch's canonical flood: the reach
 /// list of a source is ordered by (depth ascending, node id ascending),
-/// entry 0 being the source itself. `parent_idx` indexes the same list
-/// (always smaller than the entry's own index) and names the canonical
+/// entry 0 being the source itself. `parent` names the canonical
 /// BFS-tree parent: the minimum-id neighbor one level closer to the
-/// source. `recv` is the number of query transmissions the node
-/// receives, after correcting for children not sending back on their
-/// arrival edge.
+/// source. Dispatch stores the parent's node id; the per-source pass
+/// rewrites it into the parent's index in the same list (always smaller
+/// than the entry's own index). `recv` is the number of query
+/// transmissions the node receives, after correcting for children not
+/// sending back on their arrival edge.
 struct ReachEntry {
   NodeId node = 0;
-  std::uint32_t parent_idx = 0;
-  std::uint32_t own_pos = 0;  // Slot in the batch-compact arrays.
+  std::uint32_t parent = 0;
+  std::uint32_t own_pos = 0;  // Slot in the batch-compact records.
   std::uint32_t recv = 0;
   std::uint16_t depth = 0;
+};
+
+/// A node's source words around the level being dispatched: `prev` is
+/// its word one level closer to the sources, `below` the OR of its words
+/// at levels < ttl (the sources whose query it forwards). Interleaved so
+/// that one neighbor visit reads one 16-byte record.
+struct NodeWords {
+  std::uint64_t prev = 0;
+  std::uint64_t below = 0;
+};
+
+/// One record per distinct node a batch reaches: the node's constants,
+/// filled once after dispatch, then weighted sums over the batch's
+/// sources (w = source query rate).
+struct PositionSums {
+  double response_prob = 0.0;
+  double expected_results = 0.0;
+  double expected_addrs = 0.0;
+  double degree = 0.0;
+  // Query transmissions/receptions and reach...
+  double wt = 0.0, wr = 0.0, wreach = 0.0;
+  // ...response bundles sent (excluding each source's own row)...
+  double snd_m = 0.0, snd_r = 0.0, snd_a = 0.0;
+  // ...and subtree-only bundles received (children's, excluding the
+  // node's own response — summed directly so no cancellation occurs).
+  double sub_m = 0.0, sub_r = 0.0, sub_a = 0.0;
+};
+
+/// Expected response traffic (msgs, results, addrs) travelling up a
+/// source's response tree.
+struct Bundle {
+  double msgs = 0.0;
+  double results = 0.0;
+  double addrs = 0.0;
 };
 
 /// Everything one 64-source batch contributes to the evaluation,
 /// extracted on the worker so the fold (which runs on one thread, in
 /// batch order) stays cheap and deterministic.
 struct BatchResult {
-  // Sparse per-cluster query-phase load, node ids ascending.
+  // Sparse per-cluster query-phase load, one entry per reached node in
+  // first-seen order (the fold adds each node's delta once, so the
+  // order does not affect any sum).
   std::vector<std::pair<NodeId, RawLoad>> pool_delta;
   double weighted_results = 0.0;
   double weighted_epl = 0.0;
@@ -69,6 +113,7 @@ struct BatchResult {
   std::uint64_t levels = 0;
   std::uint64_t frontier_entries = 0;
   std::uint64_t reached = 0;
+  std::uint64_t neighbor_visits = 0;
   std::size_t scratch_bytes = 0;  // Size-based, so parallelism-independent.
   // Wall-clock phase times; report-only.
   double expand_seconds = 0.0;
@@ -81,25 +126,16 @@ struct BatchResult {
 /// batch, so results never depend on which batches a worker ran before —
 /// the property that makes parallelism bit-transparent.
 struct BatchScratch {
-  explicit BatchScratch(std::size_t n)
-      : pos_of(n, 0), depth_of(n, kUnreachedDepth), idx_of(n, 0) {}
+  explicit BatchScratch(std::size_t n) : words(n), pos_of(n, 0), idx_of(n, 0) {}
 
   BatchedBfs bfs;
+  std::vector<NodeWords> words;  // All zero between batches.
+  // Sparse set: u has a position iff union_nodes[pos_of[u]] == u.
   std::vector<std::uint32_t> pos_of;
-  std::vector<std::uint16_t> depth_of;  // Sentinel kUnreachedDepth.
-  std::vector<std::uint32_t> idx_of;
-  std::vector<NodeId> union_nodes;  // Distinct reached nodes, ascending.
-  std::vector<RawLoad> pool;
-  // Batch-compact weighted sums over the batch's sources (w = source
-  // query rate): query transmissions/receptions and reach...
-  std::vector<double> wt, wr, wreach;
-  // ...response bundles sent (excluding each source's own row)...
-  std::vector<double> snd_m, snd_r, snd_a;
-  // ...and subtree-only bundles received (children's, excluding the
-  // node's own response — summed directly so no cancellation occurs).
-  std::vector<double> sub_m, sub_r, sub_a;
-  // Reverse-BFS accumulators, zeroed after each use.
-  std::vector<double> acc_m, acc_r, acc_a;
+  std::vector<std::uint32_t> idx_of;  // Node -> index in one reach list.
+  std::vector<NodeId> union_nodes;    // Distinct reached nodes, first seen.
+  std::vector<PositionSums> sums;     // Parallel to union_nodes.
+  std::vector<Bundle> acc;  // Per reach-list entry; zeroed after each use.
   std::array<std::vector<ReachEntry>, kBfsWordBits> reach;
 };
 
@@ -219,9 +255,11 @@ class Evaluator {
   // why their floating-point outputs are bit-identical):
   //
   //   1. Dispatch the kernel's per-level (node, source-word) lists into
-  //      per-source canonical reach lists, and derive each entry's
-  //      canonical parent and reception count with one fused scan over
-  //      its neighbors.
+  //      per-source canonical reach lists. Each (node, word) entry's
+  //      neighbors are scanned once for the whole word: ANDing the word
+  //      with the neighbors' previous-level words yields every source's
+  //      canonical parent, and with their forwarding words (levels
+  //      < ttl) every source's reception count.
   //   2. Per source, run the flooding-cost and reverse response-tree
   //      recurrences, but accumulate only the *weighted integer/bundle
   //      sums* per reached node (the load algebra is linear in them).
@@ -249,162 +287,222 @@ class Evaluator {
     const auto t1 = std::chrono::steady_clock::now();
     res.expand_seconds = std::chrono::duration<double>(t1 - t0).count();
 
-    // Union of reached nodes -> batch-compact positions.
     const int num_levels = sc.bfs.num_levels();
-    sc.union_nodes.clear();
-    std::uint64_t frontier_entries = 0;
-    for (int d = 0; d < num_levels; ++d) {
-      const auto level = sc.bfs.Level(d);
-      frontier_entries += level.size();
-      for (const BatchLevelEntry& e : level) sc.union_nodes.push_back(e.node);
-    }
-    std::sort(sc.union_nodes.begin(), sc.union_nodes.end());
-    sc.union_nodes.erase(
-        std::unique(sc.union_nodes.begin(), sc.union_nodes.end()),
-        sc.union_nodes.end());
-    const std::size_t m = sc.union_nodes.size();
-    for (std::uint32_t p = 0; p < m; ++p) sc.pos_of[sc.union_nodes[p]] = p;
-    sc.pool.assign(m, RawLoad{});
-    sc.wt.assign(m, 0.0);
-    sc.wr.assign(m, 0.0);
-    sc.wreach.assign(m, 0.0);
-    sc.snd_m.assign(m, 0.0);
-    sc.snd_r.assign(m, 0.0);
-    sc.snd_a.assign(m, 0.0);
-    sc.sub_m.assign(m, 0.0);
-    sc.sub_r.assign(m, 0.0);
-    sc.sub_a.assign(m, 0.0);
-    sc.acc_m.assign(m, 0.0);
-    sc.acc_r.assign(m, 0.0);
-    sc.acc_a.assign(m, 0.0);
-
-    // Dispatch levels into per-source canonical reach lists: levels
-    // ascending, node ids ascending within a level, so each list comes
-    // out in (depth, node) order with the source at index 0.
-    for (std::size_t i = 0; i < batch_size; ++i) sc.reach[i].clear();
-    for (int d = 0; d < num_levels; ++d) {
+    const int ttl = config_.ttl;
+    // Levels 0..ttl-1 forward the query: `below` collects them up front.
+    const int forwarding_levels = std::min(ttl, num_levels);
+    for (int d = 0; d < forwarding_levels; ++d) {
       for (const BatchLevelEntry& e : sc.bfs.Level(d)) {
-        std::uint64_t word = e.word;
-        while (word != 0) {
-          const int i = std::countr_zero(word);
-          word &= word - 1;
-          sc.reach[static_cast<std::size_t>(i)].push_back(
-              {e.node, 0, 0, 0, static_cast<std::uint16_t>(d)});
-        }
+        sc.words[e.node].below |= e.word;
       }
     }
 
-    const auto ttl16 = static_cast<std::uint16_t>(config_.ttl);
+    // Dispatch levels into per-source canonical reach lists: levels
+    // ascending, node ids ascending within a level, so each list comes
+    // out in (depth, node) order with the source at index 0. Batch
+    // positions are assigned in first-seen order, so the batch's sources
+    // (level 0, ascending) hold positions 0..batch_size-1.
+    sc.union_nodes.clear();
+    for (std::size_t i = 0; i < batch_size; ++i) sc.reach[i].clear();
+    std::array<NodeId, kBfsWordBits> parent{};
+    std::array<std::uint32_t, kBfsWordBits> count{};  // Zero between entries.
+    std::uint64_t frontier_entries = 0;
+    std::uint64_t neighbor_visits = 0;
+    for (int d = 0; d < num_levels; ++d) {
+      if (d >= 2) {
+        for (const BatchLevelEntry& e : sc.bfs.Level(d - 2)) {
+          sc.words[e.node].prev = 0;
+        }
+      }
+      if (d >= 1) {
+        for (const BatchLevelEntry& e : sc.bfs.Level(d - 1)) {
+          sc.words[e.node].prev = e.word;
+        }
+      }
+      const auto d16 = static_cast<std::uint16_t>(d);
+      const auto level = sc.bfs.Level(d);
+      frontier_entries += level.size();
+      for (std::size_t k = 0; k < level.size(); ++k) {
+        // Two-stage prefetch: an entry's adjacency, then (half as far
+        // ahead) its neighbors' word records.
+        if (k + kPrefetchAhead < level.size()) {
+          PrefetchRead(graph.Neighbors(level[k + kPrefetchAhead].node).data());
+        }
+        if (k + kPrefetchAhead / 2 < level.size()) {
+          for (const NodeId v :
+               graph.Neighbors(level[k + kPrefetchAhead / 2].node)) {
+            PrefetchRead(&sc.words[v]);
+          }
+        }
+        const NodeId u = level[k].node;
+        const std::uint64_t word = level[k].word;
+        const auto neighbors = graph.Neighbors(u);
+        const auto degree = static_cast<std::uint32_t>(neighbors.size());
+
+        std::uint32_t own_pos = sc.pos_of[u];
+        if (own_pos >= sc.union_nodes.size() ||
+            sc.union_nodes[own_pos] != u) {
+          own_pos = static_cast<std::uint32_t>(sc.union_nodes.size());
+          sc.pos_of[u] = own_pos;
+          sc.union_nodes.push_back(u);
+        }
+
+        // Neighbors of a node differ from it in depth by at most one, so
+        // for source bit i, with `orphans` the bits still lacking a
+        // parent (the canonical parent is the first — minimum-id —
+        // neighbor holding bit i one level up):
+        //   d <= ttl-2: every neighbor forwards, recv = degree, and the
+        //               scan stops once every bit has its parent;
+        //   d == ttl-1: every neighbor is reached; those at depth ttl
+        //               (bit i outside `below`) do not forward;
+        //   d == ttl:   only the neighbors one level up forward.
+        // `count` holds the exceptions (ttl-1) or the forwarders (ttl).
+        std::uint64_t orphans = d == 0 ? 0 : word;
+        if (d < ttl - 1) {
+          for (const NodeId v : neighbors) {
+            if (orphans == 0) break;
+            ++neighbor_visits;
+            for (std::uint64_t bits = orphans & sc.words[v].prev; bits != 0;
+                 bits &= bits - 1) {
+              parent[static_cast<std::size_t>(std::countr_zero(bits))] = v;
+            }
+            orphans &= ~sc.words[v].prev;
+          }
+        } else if (ttl > 0) {  // At TTL 0 nobody forwards.
+          const bool last_forwarding = d == ttl - 1;
+          for (const NodeId v : neighbors) {
+            ++neighbor_visits;
+            const NodeWords nw = sc.words[v];
+            for (std::uint64_t bits = orphans & nw.prev; bits != 0;
+                 bits &= bits - 1) {
+              parent[static_cast<std::size_t>(std::countr_zero(bits))] = v;
+            }
+            orphans &= ~nw.prev;
+            for (std::uint64_t bits =
+                     word & (last_forwarding ? ~nw.below : nw.prev);
+                 bits != 0; bits &= bits - 1) {
+              ++count[static_cast<std::size_t>(std::countr_zero(bits))];
+            }
+          }
+        }
+        const bool at_ttl = d == ttl;
+        for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
+          const auto i = static_cast<std::size_t>(std::countr_zero(bits));
+          const std::uint32_t recv = at_ttl ? count[i] : degree - count[i];
+          count[i] = 0;
+          sc.reach[i].push_back({u, parent[i], own_pos, recv, d16});
+        }
+      }
+    }
+    if (num_levels >= 2) {
+      for (const BatchLevelEntry& e : sc.bfs.Level(num_levels - 2)) {
+        sc.words[e.node].prev = 0;
+      }
+    }
+    // Position records, in one sequential pass: filling them inside the
+    // dispatch loop would add a third write stream to its random reads.
+    const std::size_t m = sc.union_nodes.size();
+    sc.sums.resize(m);
+    for (std::size_t p = 0; p < m; ++p) {
+      const NodeId u = sc.union_nodes[p];
+      sc.sums[p] = {inst_.response_prob[u], inst_.expected_results[u],
+                    inst_.expected_addrs[u],
+                    static_cast<double>(graph.Degree(u))};
+    }
+    for (int d = 0; d < forwarding_levels; ++d) {
+      for (const BatchLevelEntry& e : sc.bfs.Level(d)) {
+        sc.words[e.node].below = 0;
+      }
+    }
+
+    const auto ttl16 = static_cast<std::uint16_t>(ttl);
+    std::size_t reach_entries = 0;
+    std::size_t max_reach = 0;
+    // Intra-cluster query traffic of each source, by position.
+    std::array<RawLoad, kBfsWordBits> source_pool{};
     for (std::size_t i = 0; i < batch_size; ++i) {
       const std::size_t s = begin + i;
       const double w = query_rate_of_cluster_[s];
       std::vector<ReachEntry>& list = sc.reach[i];
       const auto r_count = static_cast<std::uint32_t>(list.size());
       res.reached += r_count;
+      reach_entries += r_count;
+      max_reach = std::max<std::size_t>(max_reach, r_count);
+      if (sc.acc.size() < r_count) sc.acc.resize(r_count);
 
-      for (std::uint32_t idx = 0; idx < r_count; ++idx) {
+      // Parent node ids -> list indices. A parent is one level closer to
+      // the source, so its index is already recorded.
+      sc.idx_of[list[0].node] = 0;
+      for (std::uint32_t idx = 1; idx < r_count; ++idx) {
+        if (idx + kPrefetchAhead < r_count) {
+          PrefetchWrite(&sc.idx_of[list[idx + kPrefetchAhead].node]);
+          PrefetchRead(&sc.idx_of[list[idx + kPrefetchAhead].parent]);
+        }
         ReachEntry& e = list[idx];
-        sc.depth_of[e.node] = e.depth;
         sc.idx_of[e.node] = idx;
-        e.own_pos = sc.pos_of[e.node];
+        e.parent = sc.idx_of[e.parent];
       }
 
-      // Fused neighbor scan: the canonical parent is the first (== the
-      // minimum-id, neighbors being sorted) neighbor one level closer
-      // to the source; `recv` starts as the count of forwarding
-      // neighbors and is corrected below for children that do not send
-      // back on their arrival edge. Entry 0 is the only depth-0 entry
-      // (the source), which has no parent.
-      {
-        ReachEntry& e = list[0];
-        std::uint32_t fwd = 0;
-        for (const NodeId v : graph.Neighbors(e.node)) {
-          fwd += sc.depth_of[v] < ttl16 ? 1 : 0;
-        }
-        e.recv = fwd;
-        e.parent_idx = 0;
-      }
-      for (std::uint32_t idx = 1; idx < r_count; ++idx) {
-        ReachEntry& e = list[idx];
-        const auto want = static_cast<std::uint16_t>(e.depth - 1);
-        std::uint32_t fwd = 0;
-        NodeId parent = e.node;
-        bool have_parent = false;
-        for (const NodeId v : graph.Neighbors(e.node)) {
-          const std::uint16_t dv = sc.depth_of[v];
-          fwd += dv < ttl16 ? 1 : 0;
-          if (!have_parent && dv == want) {
-            parent = v;
-            have_parent = true;
-          }
-        }
-        e.recv = fwd;
-        e.parent_idx = sc.idx_of[parent];
-      }
+      // Reverse canonical order: every child (larger index) is finished
+      // before its parent, so both a node's reception count and its
+      // response bundle are final when it is reached. Each position gets
+      // one term per source, in ascending source order.
       std::uint64_t recv_total = 0;
-      for (std::uint32_t idx = 1; idx < r_count; ++idx) {
-        const ReachEntry& e = list[idx];
-        if (e.depth < ttl16) --list[e.parent_idx].recv;
-      }
-      for (std::uint32_t idx = 0; idx < r_count; ++idx) {
-        recv_total += list[idx].recv;
-      }
-
-      // Flooding costs: weighted transmission/reception/reach sums.
-      for (std::uint32_t idx = 0; idx < r_count; ++idx) {
-        const ReachEntry& e = list[idx];
-        const double t =
-            e.depth < ttl16
-                ? static_cast<double>(graph.Degree(e.node)) -
-                      (idx != 0 ? 1.0 : 0.0)
-                : 0.0;
-        sc.wt[e.own_pos] += w * t;
-        sc.wr[e.own_pos] += w * static_cast<double>(e.recv);
-        sc.wreach[e.own_pos] += w;
-      }
-
-      // Response accumulation up the canonical predecessor tree
-      // (reverse canonical order: children are finalized before their
-      // parents, since parent_idx < idx).
       double source_msgs = 0.0, source_results = 0.0, source_addrs = 0.0;
       double epl_num = 0.0, epl_den = 0.0;
       for (std::uint32_t idx = r_count; idx-- > 0;) {
+        if (idx >= kPrefetchAhead) {  // A record spans up to 3 lines.
+          const auto* ahead = reinterpret_cast<const char*>(
+              &sc.sums[list[idx - kPrefetchAhead].own_pos]);
+          PrefetchWrite(ahead);
+          PrefetchWrite(ahead + 64);
+          PrefetchWrite(ahead + sizeof(PositionSums) - 1);
+        }
         const ReachEntry& e = list[idx];
-        const std::uint32_t pos = e.own_pos;
-        const NodeId u = e.node;
-        const double am = sc.acc_m[pos];
-        const double ar = sc.acc_r[pos];
-        const double aa = sc.acc_a[pos];
-        sc.acc_m[pos] = sc.acc_r[pos] = sc.acc_a[pos] = 0.0;
-        const double msgs = am + inst_.response_prob[u];
-        const double results = ar + inst_.expected_results[u];
-        const double addrs = aa + inst_.expected_addrs[u];
+        PositionSums& p = sc.sums[e.own_pos];
+        const bool forwards = e.depth < ttl16;
+        // Flooding costs: weighted transmission/reception/reach sums.
+        const double t =
+            forwards ? p.degree - (idx != 0 ? 1.0 : 0.0) : 0.0;
+        p.wt += w * t;
+        p.wr += w * static_cast<double>(e.recv);
+        p.wreach += w;
+        recv_total += e.recv;
+
+        const Bundle sub = sc.acc[idx];
+        sc.acc[idx] = Bundle{};
+        const double msgs = sub.msgs + p.response_prob;
+        const double results = sub.results + p.expected_results;
+        const double addrs = sub.addrs + p.expected_addrs;
         // Receive the subtree part (own response originates locally).
-        sc.sub_m[pos] += w * am;
-        sc.sub_r[pos] += w * ar;
-        sc.sub_a[pos] += w * aa;
+        p.sub_m += w * sub.msgs;
+        p.sub_r += w * sub.results;
+        p.sub_a += w * sub.addrs;
         if (idx == 0) {  // u == s: nothing sent onward.
           source_msgs = msgs;
           source_results = results;
           source_addrs = addrs;
           continue;
         }
+        // A forwarding node does not send back on its arrival edge.
+        if (forwards) --list[e.parent].recv;
         // Send own response plus everything forwarded from the subtree.
-        sc.snd_m[pos] += w * msgs;
-        sc.snd_r[pos] += w * results;
-        sc.snd_a[pos] += w * addrs;
+        p.snd_m += w * msgs;
+        p.snd_r += w * results;
+        p.snd_a += w * addrs;
         // Pass the bundle to the canonical parent.
-        const std::uint32_t parent_pos = list[e.parent_idx].own_pos;
-        sc.acc_m[parent_pos] += msgs;
-        sc.acc_r[parent_pos] += results;
-        sc.acc_a[parent_pos] += addrs;
+        Bundle& up = sc.acc[e.parent];
+        up.msgs += msgs;
+        up.results += results;
+        up.addrs += addrs;
         // EPL bookkeeping: response messages from u travel depth hops.
-        epl_num += inst_.response_prob[u] * static_cast<double>(e.depth);
-        epl_den += inst_.response_prob[u];
+        epl_num += p.response_prob * static_cast<double>(e.depth);
+        epl_den += p.response_prob;
       }
 
       ApplyIntraClusterQueryTraffic(s, source_msgs, source_results,
-                                    source_addrs, sc.pool[list[0].own_pos]);
+                                    source_addrs,
+                                    source_pool[list[0].own_pos]);
 
       out_.results_per_query[s] = source_results;
       out_.epl_per_source[s] = epl_den > 0.0 ? epl_num / epl_den : 0.0;
@@ -416,51 +514,47 @@ class Evaluator {
       res.duplicates +=
           w * static_cast<double>(recv_total -
                                   static_cast<std::uint64_t>(r_count - 1));
-
-      for (const ReachEntry& e : list) sc.depth_of[e.node] = kUnreachedDepth;
     }
 
     // Expand the weighted sums into per-node loads, once per reached
     // node per batch: the load algebra is linear in the per-source
     // bundles, so summing bundles first is exact up to FP reassociation
     // — and the reassociation is fixed here, shared by both engines.
-    for (std::uint32_t p = 0; p < m; ++p) {
-      const NodeId u = sc.union_nodes[p];
-      RawLoad& pool = sc.pool[p];
-      const double mux = costs_.MultiplexUnits(conn_[u]);
-      pool.out_bytes += sc.wt[p] * qbytes_;
-      pool.units += sc.wt[p] * (sendq_ + mux);
-      pool.in_bytes += sc.wr[p] * qbytes_;
-      pool.units += sc.wr[p] * (recvq_ + mux);
-      // Every reached cluster processes the query over its index once.
-      pool.units +=
-          sc.wreach[p] * costs_.ProcessQueryUnits(inst_.expected_results[u]);
-      pool.out_bytes += ResponseBytes(sc.snd_m[p], sc.snd_r[p], sc.snd_a[p]);
-      pool.units +=
-          SendResponseUnits(sc.snd_m[p], sc.snd_r[p], sc.snd_a[p], conn_[u]);
-      pool.in_bytes += ResponseBytes(sc.sub_m[p], sc.sub_r[p], sc.sub_a[p]);
-      pool.units +=
-          RecvResponseUnits(sc.sub_m[p], sc.sub_r[p], sc.sub_a[p], conn_[u]);
-    }
     res.pool_delta.reserve(m);
-    for (std::uint32_t p = 0; p < m; ++p) {
-      res.pool_delta.emplace_back(sc.union_nodes[p], sc.pool[p]);
+    for (std::size_t p = 0; p < m; ++p) {
+      const NodeId u = sc.union_nodes[p];
+      const PositionSums& q = sc.sums[p];
+      RawLoad pool = p < batch_size ? source_pool[p] : RawLoad{};
+      const double mux = costs_.MultiplexUnits(conn_[u]);
+      pool.out_bytes += q.wt * qbytes_;
+      pool.units += q.wt * (sendq_ + mux);
+      pool.in_bytes += q.wr * qbytes_;
+      pool.units += q.wr * (recvq_ + mux);
+      // Every reached cluster processes the query over its index once.
+      pool.units += q.wreach * costs_.ProcessQueryUnits(q.expected_results);
+      pool.out_bytes += ResponseBytes(q.snd_m, q.snd_r, q.snd_a);
+      pool.units += SendResponseUnits(q.snd_m, q.snd_r, q.snd_a, conn_[u]);
+      pool.in_bytes += ResponseBytes(q.sub_m, q.sub_r, q.sub_a);
+      pool.units += RecvResponseUnits(q.sub_m, q.sub_r, q.sub_a, conn_[u]);
+      res.pool_delta.emplace_back(u, pool);
     }
 
     res.levels = static_cast<std::uint64_t>(num_levels);
     res.frontier_entries = frontier_entries;
+    res.neighbor_visits = neighbor_visits;
     // Size-based footprint accounting (capacities depend on worker
-    // history, sizes do not — the gauge must be parallelism-invariant).
-    std::size_t reach_entries = 0;
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      reach_entries += sc.reach[i].size();
-    }
+    // history, sizes do not — the gauge must be parallelism-invariant):
+    // the kernel's two per-node words, the per-node word record and the
+    // pos_of/idx_of maps, one union slot, position record and pool delta
+    // per reached node, the level lists, the reach lists and one bundle
+    // accumulator per entry of the longest reach list.
     res.scratch_bytes =
-        n_ * (sizeof(std::uint32_t) * 2 + sizeof(std::uint16_t)) +
-        2 * n_ * sizeof(std::uint64_t) +
-        m * (sizeof(NodeId) + sizeof(RawLoad) + 12 * sizeof(double)) +
+        n_ * (2 * sizeof(std::uint64_t) + sizeof(NodeWords) +
+              2 * sizeof(std::uint32_t)) +
+        m * (sizeof(NodeId) + sizeof(PositionSums) +
+             sizeof(std::pair<NodeId, RawLoad>)) +
         static_cast<std::size_t>(frontier_entries) * sizeof(BatchLevelEntry) +
-        reach_entries * sizeof(ReachEntry);
+        reach_entries * sizeof(ReachEntry) + max_reach * sizeof(Bundle);
     res.accumulate_seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - t1)
                                  .count();
@@ -469,7 +563,7 @@ class Evaluator {
 
   void EvaluateQueriesBatched(const EvalOptions& options) {
     SPPNET_CHECK(config_.ttl >= 0);
-    SPPNET_CHECK(config_.ttl < kUnreachedDepth);
+    SPPNET_CHECK(config_.ttl <= std::numeric_limits<std::uint16_t>::max());
     const std::size_t num_batches = WordsForBits(n_);
     const BatchedBfs::Kernel kernel = options.engine == EvalEngine::kBatched
                                           ? BatchedBfs::Kernel::kBitParallel
@@ -482,6 +576,7 @@ class Evaluator {
     std::uint64_t levels_total = 0;
     std::uint64_t frontier_total = 0;
     std::uint64_t reached_total = 0;
+    std::uint64_t neighbor_visits_total = 0;
     std::size_t scratch_bytes_max = 0;
     double expand_seconds = 0.0;
     double accumulate_seconds = 0.0;
@@ -500,6 +595,7 @@ class Evaluator {
       levels_total += r.levels;
       frontier_total += r.frontier_entries;
       reached_total += r.reached;
+      neighbor_visits_total += r.neighbor_visits;
       scratch_bytes_max = std::max(scratch_bytes_max, r.scratch_bytes);
       expand_seconds += r.expand_seconds;
       accumulate_seconds += r.accumulate_seconds;
@@ -571,6 +667,8 @@ class Evaluator {
       options.metrics->GetCounter("eval.bfs.frontier_entries")
           .Increment(frontier_total);
       options.metrics->GetCounter("eval.reached").Increment(reached_total);
+      options.metrics->GetCounter("eval.accumulate.neighbor_visits")
+          .Increment(neighbor_visits_total);
       options.metrics->GetGauge("eval.scratch.bytes")
           .SetMax(static_cast<double>(scratch_bytes_max));
       options.metrics->GetTimer("eval.bfs.expand").Record(expand_seconds);

@@ -34,7 +34,8 @@ struct EvalOptions {
   /// of `parallelism` yields bit-identical loads.
   std::size_t parallelism = 1;
 
-  /// Optional sink for eval.bfs.* counters/gauges and phase timers.
+  /// Optional sink for eval.bfs.* and eval.accumulate.* counters,
+  /// gauges and phase timers.
   /// Counters and gauges are deterministic (bit-identical across engines
   /// is NOT required of them — they describe kernel work — but they are
   /// identical across parallelism); timers are wall-clock, report-only.

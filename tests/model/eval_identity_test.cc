@@ -7,6 +7,7 @@
 // any mismatch means a kernel bug, not an acceptable rounding wiggle;
 // EXPECT_EQ (not EXPECT_DOUBLE_EQ / NEAR) is deliberate.
 
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "sppnet/model/evaluator.h"
 #include "sppnet/model/trials.h"
 #include "sppnet/obs/metrics.h"
+#include "sppnet/topology/bfs.h"
 
 namespace sppnet {
 namespace {
@@ -167,7 +169,8 @@ TEST(EvalIdentityTest, TrialReportsBitIdenticalAcrossEngineAndParallelism) {
 }
 
 /// The deterministic kernel counters must also be identical across
-/// parallelism (the trials.cc fold contract extended to eval.bfs.*).
+/// parallelism (the trials.cc fold contract extended to eval.bfs.*) and
+/// across engines, whose level lists are bit-identical.
 TEST(EvalIdentityTest, KernelCountersIdenticalAcrossParallelism) {
   Configuration config;
   config.graph_type = GraphType::kPowerLaw;
@@ -179,29 +182,71 @@ TEST(EvalIdentityTest, KernelCountersIdenticalAcrossParallelism) {
   Rng rng(7);
   const NetworkInstance inst = GenerateInstance(config, inputs, rng);
 
-  std::vector<MetricsRegistry> registries(3);
-  const std::size_t parallelisms[] = {1, 2, 8};
-  for (std::size_t i = 0; i < 3; ++i) {
-    EvalOptions options;
-    options.parallelism = parallelisms[i];
-    options.metrics = &registries[i];
-    EvaluateInstance(inst, config, inputs, options);
+  std::vector<MetricsRegistry> registries(6);
+  std::size_t variant = 0;
+  for (const EvalEngine engine :
+       {EvalEngine::kBatched, EvalEngine::kScalarReference}) {
+    for (const std::size_t parallelism : {1u, 2u, 8u}) {
+      EvalOptions options;
+      options.engine = engine;
+      options.parallelism = parallelism;
+      options.metrics = &registries[variant++];
+      EvaluateInstance(inst, config, inputs, options);
+    }
   }
   for (const char* name :
        {"eval.sources", "eval.bfs.batches", "eval.bfs.levels",
-        "eval.bfs.frontier_entries", "eval.reached"}) {
+        "eval.bfs.frontier_entries", "eval.reached",
+        "eval.accumulate.neighbor_visits"}) {
     SCOPED_TRACE(name);
     EXPECT_GT(registries[0].CounterValue(name), 0u);
-    EXPECT_EQ(registries[0].CounterValue(name),
-              registries[1].CounterValue(name));
-    EXPECT_EQ(registries[0].CounterValue(name),
-              registries[2].CounterValue(name));
+    for (std::size_t i = 1; i < registries.size(); ++i) {
+      EXPECT_EQ(registries[0].CounterValue(name),
+                registries[i].CounterValue(name))
+          << "variant " << i;
+    }
   }
   EXPECT_GT(registries[0].GaugeValue("eval.scratch.bytes"), 0.0);
-  EXPECT_EQ(registries[0].GaugeValue("eval.scratch.bytes"),
-            registries[1].GaugeValue("eval.scratch.bytes"));
-  EXPECT_EQ(registries[0].GaugeValue("eval.scratch.bytes"),
-            registries[2].GaugeValue("eval.scratch.bytes"));
+  for (std::size_t i = 1; i < registries.size(); ++i) {
+    EXPECT_EQ(registries[0].GaugeValue("eval.scratch.bytes"),
+              registries[i].GaugeValue("eval.scratch.bytes"))
+        << "variant " << i;
+  }
+}
+
+/// Accumulate derives parents and reception counts with one neighbor
+/// scan per (node, source word), not one per (node, source). The pinned
+/// visit count fails if that work grows, for instance by a return to
+/// per-source scans; such a scan would visit every neighbor of every
+/// reached node once per source, which the second check computes.
+TEST(EvalIdentityTest, AccumulateNeighborVisitsPinned) {
+  Configuration config;
+  config.graph_type = GraphType::kPowerLaw;
+  config.graph_size = 2000;
+  config.cluster_size = 1;
+  config.ttl = 4;
+  config.avg_outdegree = 3.1;
+  const ModelInputs inputs = ModelInputs::Default();
+  Rng rng(11);
+  const NetworkInstance inst = GenerateInstance(config, inputs, rng);
+
+  MetricsRegistry metrics;
+  EvalOptions options;
+  options.metrics = &metrics;
+  EvaluateInstance(inst, config, inputs, options);
+  const std::uint64_t visits =
+      metrics.CounterValue("eval.accumulate.neighbor_visits");
+  EXPECT_EQ(visits, 494116u);
+
+  std::uint64_t per_source_scan = 0;
+  FloodScratch scratch;
+  for (NodeId s = 0; s < inst.NumClusters(); ++s) {
+    FloodBfs(inst.topology, s, config.ttl, scratch);
+    for (const NodeId u : scratch.order()) {
+      per_source_scan += inst.topology.graph().Degree(u);
+    }
+  }
+  EXPECT_LT(2 * visits, per_source_scan);
 }
 
 }  // namespace
