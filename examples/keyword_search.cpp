@@ -1,95 +1,54 @@
-// Example: a fully concrete super-peer network. Every super-peer runs
-// a real inverted index over file titles (the data structure Section
-// 3.2 prescribes), users submit conjunctive keyword queries sampled
-// from a Zipfian corpus, and the discrete-event simulator moves every
-// protocol message. This is the system a downstream user would deploy,
-// as opposed to the analytical model used for design studies.
+// Example: one super-peer's index up close. A super-peer keeps an
+// inverted index over the titles its clients share (the data structure
+// Section 3.2 prescribes) and answers conjunctive keyword queries from
+// it. Titles and queries are sampled from a Zipfian corpus.
 
 #include <cstdio>
+#include <string>
 
 #include "sppnet/index/corpus.h"
-#include "sppnet/sim/simulator.h"
+#include "sppnet/index/inverted_index.h"
 
 int main() {
   using namespace sppnet;
-  const ModelInputs inputs = ModelInputs::Default();
+  const TitleCorpus corpus = TitleCorpus::Default();
 
-  // A small community: 500 peers in clusters of 10.
-  Configuration config;
-  config.graph_size = 500;
-  config.cluster_size = 10;
-  config.avg_outdegree = 4.0;
-  config.ttl = 5;
+  // One cluster: nine clients sharing 150 files each.
+  InvertedIndex index;
+  FileId next_id = 1;
+  Rng rng(99);
+  for (OwnerId owner = 0; owner < 9; ++owner) {
+    index.InsertCollection(corpus.SampleCollection(owner, 150, &next_id, rng));
+  }
+  std::printf("One cluster's index: %zu files, %zu distinct title "
+              "keywords, ~%zu KB resident\n",
+              index.num_files(), index.num_terms(),
+              index.ApproximateMemoryBytes() / 1024);
 
-  Rng rng(7);
-  const NetworkInstance instance = GenerateInstance(config, inputs, rng);
-
-  // First, show what one super-peer index looks like up close.
+  // A known-item search: query with two keywords from a shared title.
   {
-    const TitleCorpus corpus = TitleCorpus::Default();
-    InvertedIndex index;
-    FileId next_id = 1;
-    Rng demo_rng(99);
-    for (OwnerId owner = 0; owner < 9; ++owner) {
-      index.InsertCollection(
-          corpus.SampleCollection(owner, 150, &next_id, demo_rng));
-    }
-    std::printf("One cluster's index: %zu files, %zu distinct title "
-                "keywords, ~%zu KB resident\n",
-                index.num_files(), index.num_terms(),
-                index.ApproximateMemoryBytes() / 1024);
-    // A known-item search: query with two keywords from a shared title.
-    {
-      const std::string title = corpus.SampleTitle(demo_rng);
-      FileRecord wanted;
-      wanted.id = next_id++;
-      wanted.owner = 3;
-      wanted.title = title;
-      index.Insert(wanted);
-      const auto tokens = InvertedIndex::Tokenize(title);
-      const std::string q = tokens[0] + " " + tokens[1];
-      const QueryResult r = index.Query(q);
-      std::printf("  known-item query \"%s\": %zu hits from %zu clients\n",
-                  q.c_str(), r.hits.size(), r.distinct_owners);
-    }
-    // Random exploratory queries: most match nothing in a single
-    // cluster — that is exactly why queries flood across super-peers.
-    int with_hits = 0;
-    constexpr int kProbes = 200;
-    for (int i = 0; i < kProbes; ++i) {
-      if (!index.Query(corpus.SampleQuery(demo_rng)).hits.empty()) {
-        ++with_hits;
-      }
-    }
-    std::printf("  of %d random keyword queries, %d match locally — the "
-                "rest need the overlay\n",
-                kProbes, with_hits);
+    const std::string title = corpus.SampleTitle(rng);
+    FileRecord wanted;
+    wanted.id = next_id++;
+    wanted.owner = 3;
+    wanted.title = title;
+    index.Insert(wanted);
+    const auto tokens = InvertedIndex::Tokenize(title);
+    const std::string q = tokens[0] + " " + tokens[1];
+    const QueryResult r = index.Query(q);
+    std::printf("  known-item query \"%s\": %zu hits from %zu clients\n",
+                q.c_str(), r.hits.size(), r.distinct_owners);
   }
 
-  // Now run the whole network for 10 simulated minutes.
-  SimOptions options;
-  options.duration_seconds = 600;
-  options.warmup_seconds = 60;
-  options.concrete_index = true;
-  Simulator sim(instance, config, inputs, options);
-  const SimReport report = sim.Run();
-
-  std::printf("\n10 minutes of keyword search over %zu clusters "
-              "(%zu clients):\n",
-              instance.NumClusters(), instance.TotalClients());
-  std::printf("  queries submitted     : %llu\n",
-              static_cast<unsigned long long>(report.queries_submitted));
-  std::printf("  mean results per query: %.1f\n",
-              report.mean_results_per_query);
-  std::printf("  first response after  : %.2f s\n",
-              report.mean_first_response_latency);
-  std::printf("  response path length  : %.2f hops\n",
-              report.mean_response_hops);
-  std::printf("  super-peer index size : ~%.0f KB resident each\n",
-              report.mean_index_memory_bytes / 1024.0);
-  const LoadVector sp = InstanceLoads::MeanOf(report.partner_load);
-  std::printf("  super-peer load       : %.1f kbps down / %.1f kbps up / "
-              "%.2f MHz\n",
-              sp.in_bps / 1e3, sp.out_bps / 1e3, sp.proc_hz / 1e6);
+  // Random exploratory queries: most match nothing in a single
+  // cluster — that is exactly why queries flood across super-peers.
+  int with_hits = 0;
+  constexpr int kProbes = 200;
+  for (int i = 0; i < kProbes; ++i) {
+    if (!index.Query(corpus.SampleQuery(rng)).hits.empty()) ++with_hits;
+  }
+  std::printf("  of %d random keyword queries, %d match locally — the "
+              "rest need the overlay\n",
+              kProbes, with_hits);
   return 0;
 }

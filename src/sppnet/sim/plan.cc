@@ -65,10 +65,6 @@ const char* SimFeatureName(SimFeature f) {
       return "index consistency";
     case SimFeature::kCapacity:
       return "heterogeneous capacities";
-    case SimFeature::kConcreteIndex:
-      return "concrete indexes";
-    case SimFeature::kResultCache:
-      return "result cache";
     case SimFeature::kNumFeatures:
       break;
   }
@@ -82,40 +78,21 @@ using F = SimFeature;
 /// Reasons keep the wording of the historical SimOptions::Validate
 /// checks (tests assert on these substrings).
 constexpr FeatureConflict kConflicts[] = {
-    // The sharded discipline: concrete indexes and the result cache
-    // hold cross-cluster state the shards cannot own.
-    {F::kShards, F::kConcreteIndex, "sharded runs require abstract indexes"},
-    {F::kShards, F::kResultCache,
-     "sharded runs require the result cache disabled"},
-    // Adaptation reroutes membership, matching and topology through
-    // its controller; these hold per-cluster state it cannot migrate.
-    {F::kAdaptive, F::kConcreteIndex,
-     "in-sim adaptation requires abstract indexes"},
-    {F::kAdaptive, F::kResultCache,
-     "in-sim adaptation requires the result cache disabled"},
     // The digest table describes the static instance overlay and
     // realizes the probabilistic content model; features that mutate
-    // either, or replay results outside MatchQuery, are incompatible,
-    // and the layer's tallies are single-threaded.
+    // either are incompatible, and the layer's tallies are
+    // single-threaded.
     {F::kRouting, F::kShards,
      "content-aware routing requires the legacy engine "
      "(no in-trial sharding)"},
     {F::kRouting, F::kAdaptive,
      "content-aware routing is incompatible with in-sim adaptation"},
-    {F::kRouting, F::kConcreteIndex,
-     "content-aware routing requires abstract indexes"},
-    {F::kRouting, F::kResultCache,
-     "content-aware routing requires the result cache disabled"},
     // The consistency layer tracks per-cluster staleness against the
     // abstract probabilistic index and pins clients to their home
     // cluster for the whole run.
     {F::kConsistency, F::kShards,
      "the consistency layer requires the legacy engine "
      "(no in-trial sharding)"},
-    {F::kConsistency, F::kConcreteIndex,
-     "the consistency layer requires abstract indexes"},
-    {F::kConsistency, F::kResultCache,
-     "the consistency layer requires the result cache disabled"},
     {F::kConsistency, F::kAdaptive,
      "the consistency layer is incompatible with in-sim adaptation"},
     {F::kConsistency, F::kRouting,
@@ -125,13 +102,10 @@ constexpr FeatureConflict kConflicts[] = {
     {F::kConsistency, F::kFaults,
      "the consistency layer requires an inactive fault plan"},
     // The capacity layer's windowed utilization tallies are
-    // single-threaded, and the concrete-index mode prices message
-    // loads outside CostTable (utilization would be meaningless).
+    // single-threaded.
     {F::kCapacity, F::kShards,
      "the capacity layer requires the legacy engine "
      "(no in-trial sharding)"},
-    {F::kCapacity, F::kConcreteIndex,
-     "the capacity layer requires abstract indexes"},
 };
 
 }  // namespace

@@ -89,10 +89,8 @@ struct CapacityPlan {
   void Validate() const;
 };
 
-/// The optional simulator layers plus the two cross-cutting modes that
-/// hold per-cluster state (concrete indexes, the result cache). One
-/// bit each in the active-feature mask handed to
-/// CheckFeatureCompatibility.
+/// The optional simulator layers, one bit each in the active-feature
+/// mask handed to CheckFeatureCompatibility.
 enum class SimFeature : std::uint32_t {
   kShards = 0,
   kChurn,
@@ -101,8 +99,6 @@ enum class SimFeature : std::uint32_t {
   kRouting,
   kConsistency,
   kCapacity,
-  kConcreteIndex,
-  kResultCache,
   kNumFeatures,
 };
 

@@ -44,10 +44,10 @@ struct ShardPlan {
   bool enabled() const { return num_shards > 0; }
 
   /// Aborts (SPPNET_CHECK) when enabled with num_threads == 0.
-  /// Feature-compatibility constraints (abstract indexes, no result
-  /// cache) live in the sim/plan.h conflict matrix; the positive-
-  /// lookahead requirement stays in SimOptions::Validate, which sees
-  /// the whole option set.
+  /// Feature-compatibility constraints (no routing, consistency or
+  /// capacity layer) live in the sim/plan.h conflict matrix; the
+  /// positive-lookahead requirement stays in SimOptions::Validate,
+  /// which sees the whole option set.
   void Validate() const;
 };
 

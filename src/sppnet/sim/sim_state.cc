@@ -1,7 +1,6 @@
 #include "sppnet/sim/sim_state.h"
 
 #include <algorithm>
-#include <functional>
 #include <iterator>
 #include <utility>
 
@@ -19,21 +18,17 @@ std::size_t MapEntryBytes() {
 
 SimState::SimState(SimStateBackend backend, std::size_t num_clusters)
     : backend_(backend), num_clusters_(num_clusters) {
-  if (backend_ == SimStateBackend::kDense) {
-    dense_cache_.resize(num_clusters_);
-  } else {
+  if (backend_ == SimStateBackend::kMapReference) {
     map_table_.resize(num_clusters_);
-    map_cache_.resize(num_clusters_);
   }
 }
 
 void SimState::EnsureClusters(std::size_t num_clusters) {
-  if (backend_ == SimStateBackend::kDense) {
-    if (num_clusters > dense_cache_.size()) dense_cache_.resize(num_clusters);
-    return;
+  if (num_clusters <= num_clusters_) return;
+  num_clusters_ = num_clusters;
+  if (backend_ == SimStateBackend::kMapReference) {
+    map_table_.resize(num_clusters_);
   }
-  if (num_clusters > map_table_.size()) map_table_.resize(num_clusters);
-  if (num_clusters > map_cache_.size()) map_cache_.resize(num_clusters);
 }
 
 QueryState& SimState::Claim(std::uint64_t qid) {
@@ -81,91 +76,6 @@ std::uint64_t SimState::RootOf(std::uint64_t qid) const {
   return it == map_root_.end() ? qid : it->second;
 }
 
-void SimState::SetQueryString(std::uint64_t qid, const std::string& text) {
-  SPPNET_CHECK(qid >= qid_base_);
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    EnsureSlot(symbol_slots_, slot, kNoSymbol);
-    if (symbol_slots_[slot] != kNoSymbol) return;  // emplace semantics.
-    const auto [it, inserted] = symbol_lookup_.try_emplace(
-        text, static_cast<std::uint32_t>(symbol_texts_.size()));
-    if (inserted) {
-      symbol_texts_.push_back(text);
-      // Hashing once at intern time matches hashing on demand: equal
-      // strings hash equal.
-      symbol_hashes_.push_back(std::hash<std::string>{}(text));
-    }
-    symbol_slots_[slot] = it->second;
-    ++interned_count_;
-    return;
-  }
-  if (map_strings_.emplace(qid, text).second) ++interned_count_;
-}
-
-void SimState::ShareQueryString(std::uint64_t root, std::uint64_t retry_qid) {
-  SPPNET_CHECK(retry_qid >= qid_base_);
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t root_slot = SlotOf(root);
-    if (root_slot >= symbol_slots_.size() ||
-        symbol_slots_[root_slot] == kNoSymbol) {
-      return;
-    }
-    const std::size_t slot = SlotOf(retry_qid);
-    EnsureSlot(symbol_slots_, slot, kNoSymbol);
-    if (symbol_slots_[slot] != kNoSymbol) return;
-    symbol_slots_[slot] = symbol_slots_[root_slot];
-    ++interned_count_;
-    return;
-  }
-  const auto it = map_strings_.find(root);
-  if (it == map_strings_.end()) return;
-  if (map_strings_.emplace(retry_qid, it->second).second) ++interned_count_;
-}
-
-const std::string* SimState::QueryString(std::uint64_t qid) const {
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    if (slot >= symbol_slots_.size() || symbol_slots_[slot] == kNoSymbol) {
-      return nullptr;
-    }
-    return &symbol_texts_[symbol_slots_[slot]];
-  }
-  const auto it = map_strings_.find(qid);
-  return it == map_strings_.end() ? nullptr : &it->second;
-}
-
-bool SimState::QueryStringHash(std::uint64_t qid, std::uint64_t* out) const {
-  if (backend_ == SimStateBackend::kDense) {
-    const std::size_t slot = SlotOf(qid);
-    if (slot >= symbol_slots_.size() || symbol_slots_[slot] == kNoSymbol) {
-      return false;
-    }
-    *out = symbol_hashes_[symbol_slots_[slot]];
-    return true;
-  }
-  const auto it = map_strings_.find(qid);
-  if (it == map_strings_.end()) return false;
-  *out = std::hash<std::string>{}(it->second);
-  return true;
-}
-
-QueryCacheEntry* SimState::FindCacheEntry(std::size_t cluster,
-                                          std::uint64_t key) {
-  if (backend_ == SimStateBackend::kDense) {
-    return dense_cache_[cluster].Find(key);
-  }
-  const auto it = map_cache_[cluster].find(key);
-  return it == map_cache_[cluster].end() ? nullptr : &it->second;
-}
-
-QueryCacheEntry& SimState::CacheEntrySlot(std::size_t cluster,
-                                          std::uint64_t key) {
-  if (backend_ == SimStateBackend::kDense) {
-    return *dense_cache_[cluster].FindOrInsert(key).first;
-  }
-  return map_cache_[cluster][key];
-}
-
 void SimState::RetireBelow(std::uint64_t floor) {
   if (floor <= qid_base_) return;
   if (backend_ == SimStateBackend::kDense) {
@@ -179,7 +89,6 @@ void SimState::RetireBelow(std::uint64_t floor) {
     drop_prefix(state_slots_);
     drop_prefix(state_live_);
     drop_prefix(root_slots_);
-    drop_prefix(symbol_slots_);
   } else {
     const auto erase_below = [floor](auto& m) {
       for (auto it = m.begin(); it != m.end();) {
@@ -189,7 +98,6 @@ void SimState::RetireBelow(std::uint64_t floor) {
     for (auto& table : map_table_) erase_below(table);
     erase_below(map_state_);
     erase_below(map_root_);
-    erase_below(map_strings_);
   }
   qid_base_ = floor;
 }
@@ -206,7 +114,6 @@ void PutQueryState(CheckpointWriter& w, const QueryState& s) {
   w.PutU32(s.ring_ttl);
   w.PutDouble(s.ring_results);
   w.PutDouble(s.submit_time);
-  w.PutU64(s.cache_key);
   w.PutBool(s.first_response_seen);
 }
 
@@ -217,7 +124,6 @@ QueryState GetQueryState(CheckpointReader& r) {
   s.ring_ttl = r.GetU32();
   s.ring_results = r.GetDouble();
   s.submit_time = r.GetDouble();
-  s.cache_key = r.GetU64();
   s.first_response_seen = r.GetBool();
   return s;
 }
@@ -228,9 +134,8 @@ void SimState::SaveTo(CheckpointWriter& w) const {
   w.BeginSection(kStateTag);
   w.PutU64(qid_base_);
   w.PutU64(duplicate_entries_);
-  w.PutU64(interned_count_);
+  w.PutU64(num_clusters_);
   const bool dense = backend_ == SimStateBackend::kDense;
-  w.PutU64(dense ? dense_cache_.size() : map_cache_.size());
 
   // Every list below is collected then canonically sorted, so the bytes
   // are a function of the logical contents alone — identical across
@@ -298,70 +203,13 @@ void SimState::SaveTo(CheckpointWriter& w) const {
     w.PutU64(qid);
     w.PutU64(root);
   }
-
-  std::vector<std::pair<std::uint64_t, const std::string*>> strings;
-  if (dense) {
-    for (std::size_t i = 0; i < symbol_slots_.size(); ++i) {
-      if (symbol_slots_[i] != kNoSymbol) {
-        strings.emplace_back(qid_base_ + i, &symbol_texts_[symbol_slots_[i]]);
-      }
-    }
-  } else {
-    for (const auto& [qid, text] : map_strings_) {
-      strings.emplace_back(qid, &text);
-    }
-  }
-  std::sort(strings.begin(), strings.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.PutU64(strings.size());
-  for (const auto& [qid, text] : strings) {
-    w.PutU64(qid);
-    w.PutString(*text);
-  }
-
-  struct CacheLine {
-    std::uint64_t cluster;
-    std::uint64_t key;
-    QueryCacheEntry entry;
-  };
-  std::vector<CacheLine> cache_lines;
-  const std::size_t cache_clusters = dense ? dense_cache_.size()
-                                           : map_cache_.size();
-  for (std::size_t c = 0; c < cache_clusters; ++c) {
-    if (dense) {
-      dense_cache_[c].ForEach(
-          [&](std::uint64_t key, const QueryCacheEntry& entry) {
-            cache_lines.push_back({c, key, entry});
-          });
-    } else {
-      for (const auto& [key, entry] : map_cache_[c]) {
-        cache_lines.push_back({c, key, entry});
-      }
-    }
-  }
-  std::sort(cache_lines.begin(), cache_lines.end(),
-            [](const CacheLine& a, const CacheLine& b) {
-              return a.cluster != b.cluster ? a.cluster < b.cluster
-                                            : a.key < b.key;
-            });
-  w.PutU64(cache_lines.size());
-  for (const CacheLine& line : cache_lines) {
-    w.PutU64(line.cluster);
-    w.PutU64(line.key);
-    w.PutDouble(line.entry.expires);
-    w.PutDouble(line.entry.results);
-    w.PutDouble(line.entry.addrs);
-    w.PutU64(line.entry.owner);
-  }
 }
 
 bool SimState::LoadFrom(CheckpointReader& r) {
-  SPPNET_CHECK(duplicate_entries_ == 0 && interned_count_ == 0 &&
-               qid_base_ == 0);
+  SPPNET_CHECK(duplicate_entries_ == 0 && qid_base_ == 0);
   if (!r.BeginSection(kStateTag)) return false;
   qid_base_ = r.GetU64();
   const std::uint64_t saved_duplicates = r.GetU64();
-  const std::uint64_t saved_interned = r.GetU64();
   EnsureClusters(static_cast<std::size_t>(r.GetU64()));
 
   const std::uint64_t num_seen = r.GetU64();
@@ -386,29 +234,9 @@ bool SimState::LoadFrom(CheckpointReader& r) {
     if (r.ok()) SetRoot(qid, root);
   }
 
-  const std::uint64_t num_strings = r.GetU64();
-  for (std::uint64_t i = 0; i < num_strings && r.ok(); ++i) {
-    const std::uint64_t qid = r.GetU64();
-    const std::string text = r.GetString();
-    if (r.ok()) SetQueryString(qid, text);
-  }
-
-  const std::uint64_t num_cache_lines = r.GetU64();
-  for (std::uint64_t i = 0; i < num_cache_lines && r.ok(); ++i) {
-    const std::size_t cluster = static_cast<std::size_t>(r.GetU64());
-    const std::uint64_t key = r.GetU64();
-    QueryCacheEntry entry;
-    entry.expires = r.GetDouble();
-    entry.results = r.GetDouble();
-    entry.addrs = r.GetDouble();
-    entry.owner = r.GetU64();
-    if (r.ok()) CacheEntrySlot(cluster, key) = entry;
-  }
-
-  // The tallies count historical inserts (including since-retired
+  // The tally counts historical inserts (including since-retired
   // entries), not the live set the loop above re-inserted.
   duplicate_entries_ = saved_duplicates;
-  interned_count_ = saved_interned;
   return r.ok();
 }
 
@@ -416,34 +244,18 @@ std::size_t SimState::ApproxScratchBytes() const {
   std::size_t bytes = 0;
   if (backend_ == SimStateBackend::kDense) {
     for (const auto& table : dense_table_) bytes += table.ApproxMemoryBytes();
-    for (const auto& cache : dense_cache_) bytes += cache.ApproxMemoryBytes();
     bytes += dense_table_.capacity() * sizeof(dense_table_[0]);
-    bytes += dense_cache_.capacity() * sizeof(dense_cache_[0]);
     bytes += state_slots_.capacity() * sizeof(QueryState);
     bytes += state_live_.capacity();
     bytes += root_slots_.capacity() * sizeof(std::uint64_t);
-    bytes += symbol_slots_.capacity() * sizeof(std::uint32_t);
-    bytes += symbol_hashes_.capacity() * sizeof(std::uint64_t);
-    for (const std::string& text : symbol_texts_) {
-      bytes += sizeof(std::string) + text.capacity();
-    }
-    bytes += symbol_lookup_.size() *
-             MapEntryBytes<std::string, std::uint32_t>();
     return bytes;
   }
   for (const auto& table : map_table_) {
     bytes += table.size() * MapEntryBytes<std::uint64_t, std::uint32_t>();
   }
-  for (const auto& cache : map_cache_) {
-    bytes += cache.size() * MapEntryBytes<std::uint64_t, QueryCacheEntry>();
-  }
   bytes += map_table_.capacity() * sizeof(map_table_[0]);
-  bytes += map_cache_.capacity() * sizeof(map_cache_[0]);
   bytes += map_state_.size() * MapEntryBytes<std::uint64_t, QueryState>();
   bytes += map_root_.size() * MapEntryBytes<std::uint64_t, std::uint64_t>();
-  for (const auto& [qid, text] : map_strings_) {
-    bytes += MapEntryBytes<std::uint64_t, std::string>() + text.capacity();
-  }
   return bytes;
 }
 

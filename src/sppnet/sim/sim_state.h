@@ -1,8 +1,8 @@
 #ifndef SPPNET_SIM_SIM_STATE_H_
 #define SPPNET_SIM_SIM_STATE_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -33,27 +33,16 @@ struct QueryState {
   std::uint32_t ring_ttl = 0;  ///< Current ring (expanding ring only).
   double ring_results = 0.0;   ///< Results from the current ring.
   double submit_time = 0.0;
-  std::uint64_t cache_key = 0;
   bool first_response_seen = false;
-};
-
-/// One source-side result-cache entry (flood strategy).
-struct QueryCacheEntry {
-  double expires = 0.0;
-  double results = 0.0;
-  double addrs = 0.0;
-  /// Root qid whose responses currently fill this entry; concurrent
-  /// floods of the same query must not double-accumulate.
-  std::uint64_t owner = 0;
 };
 
 /// Open-addressing uint64 -> V table: power-of-two capacity, linear
 /// probing, generation-stamped occupancy (Clear() is O(1) — bump the
 /// generation). Point lookups only; nothing is ever erased, and the
 /// only iteration (ForEach) serves the checkpoint path, which sorts
-/// what it collects — exactly the simulator's access pattern
-/// (duplicate tables, result caches) and what makes the layout safely
-/// deterministic: probe order can never leak into results.
+/// what it collects — exactly the duplicate tables' access pattern,
+/// and what makes the layout safely deterministic: probe order can
+/// never leak into results.
 template <typename V>
 class FlatMap64 {
  public:
@@ -154,11 +143,10 @@ class FlatMap64 {
 };
 
 /// All per-query simulator state behind one facade: the duplicate
-/// tables (per-cluster qid -> upstream), the per-root QueryState, the
-/// retry-qid -> root mapping, the interned query strings of concrete
-/// mode, and the per-cluster result caches. Both backends implement
-/// identical semantics; the simulator never observes which one it is
-/// running on (see DESIGN.md §9 for the determinism argument).
+/// tables (per-cluster qid -> upstream), the per-root QueryState and
+/// the retry-qid -> root mapping. Both backends implement identical
+/// semantics; the simulator never observes which one it is running on
+/// (see DESIGN.md §9 for the determinism argument).
 class SimState {
  public:
   SimState(SimStateBackend backend, std::size_t num_clusters);
@@ -191,34 +179,13 @@ class SimState {
   /// Root of `qid`; identity when unmapped.
   std::uint64_t RootOf(std::uint64_t qid) const;
 
-  // --- Query strings (concrete-index mode) --------------------------------
-  /// Interns `text` as the query string of `qid`.
-  void SetQueryString(std::uint64_t qid, const std::string& text);
-  /// Points `retry_qid` at `root`'s string (no-op when root has none).
-  void ShareQueryString(std::uint64_t root, std::uint64_t retry_qid);
-  /// Null when qid has no string.
-  const std::string* QueryString(std::uint64_t qid) const;
-  /// std::hash of qid's string; false when qid has no string. The dense
-  /// backend pre-computes the hash once per distinct interned string —
-  /// the value is identical to hashing on demand.
-  bool QueryStringHash(std::uint64_t qid, std::uint64_t* out) const;
-
-  // --- Per-cluster result caches ------------------------------------------
-  /// Null when `cluster` has no live entry for `key`.
-  QueryCacheEntry* FindCacheEntry(std::size_t cluster, std::uint64_t key);
-  /// Find-or-insert (fresh entries value-initialized), mirroring the
-  /// reference operator[] semantics.
-  QueryCacheEntry& CacheEntrySlot(std::size_t cluster, std::uint64_t key);
-
   // --- Retirement (streaming mode) -----------------------------------------
-  /// Drops every qid-keyed entry (duplicate tables, query states, root
-  /// mappings, per-qid string slots) for qids below `floor` and makes
-  /// those qids unaddressable, bounding resident state on an unbounded
-  /// run. The caller guarantees no in-flight event references a retired
-  /// qid (the streaming layer's retention horizon, DESIGN.md §11); the
-  /// floor is monotone — a lower `floor` is a no-op. Interned string
-  /// *texts* and the result caches are kept: both are bounded by the
-  /// workload (distinct strings / cache keys), not by the qid sequence.
+  /// Drops every entry (duplicate tables, query states, root mappings)
+  /// for qids below `floor` and makes those qids unaddressable,
+  /// bounding resident state on an unbounded run. The caller guarantees
+  /// no in-flight event references a retired qid (the streaming layer's
+  /// retention horizon, DESIGN.md §11); the floor is monotone — a lower
+  /// `floor` is a no-op.
   void RetireBelow(std::uint64_t floor);
   std::uint64_t retire_floor() const { return qid_base_; }
 
@@ -238,13 +205,11 @@ class SimState {
   /// estimated per-node costs for the reference maps.
   std::size_t ApproxScratchBytes() const;
   std::uint64_t duplicate_entries() const { return duplicate_entries_; }
-  std::uint64_t interned_strings() const { return interned_count_; }
 
   SimStateBackend backend() const { return backend_; }
 
  private:
   static constexpr std::uint64_t kNoRoot = ~std::uint64_t{0};
-  static constexpr std::uint32_t kNoSymbol = ~std::uint32_t{0};
 
   /// Amortized growth of a qid-indexed slot array to cover `qid`.
   template <typename T>
@@ -263,11 +228,11 @@ class SimState {
   }
 
   const SimStateBackend backend_;
-  const std::size_t num_clusters_;
+  /// Cluster ids below this are addressable (grown by EnsureClusters).
+  std::size_t num_clusters_;
   /// Qids below this are retired (RetireBelow); 0 in batch runs.
   std::uint64_t qid_base_ = 0;
   std::uint64_t duplicate_entries_ = 0;
-  std::uint64_t interned_count_ = 0;
 
   // --- Dense backend -------------------------------------------------------
   /// Duplicate tables indexed by qid, keyed by cluster — the inverse of
@@ -278,18 +243,11 @@ class SimState {
   std::vector<QueryState> state_slots_;                 // Indexed by qid.
   std::vector<std::uint8_t> state_live_;
   std::vector<std::uint64_t> root_slots_;               // kNoRoot = unset.
-  std::vector<std::uint32_t> symbol_slots_;             // kNoSymbol = unset.
-  std::vector<std::string> symbol_texts_;
-  std::vector<std::uint64_t> symbol_hashes_;
-  std::unordered_map<std::string, std::uint32_t> symbol_lookup_;
-  std::vector<FlatMap64<QueryCacheEntry>> dense_cache_;  // Lazy-sized.
 
   // --- Reference backend ---------------------------------------------------
   std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> map_table_;
   std::unordered_map<std::uint64_t, QueryState> map_state_;
   std::unordered_map<std::uint64_t, std::uint64_t> map_root_;
-  std::unordered_map<std::uint64_t, std::string> map_strings_;
-  std::vector<std::unordered_map<std::uint64_t, QueryCacheEntry>> map_cache_;
 };
 
 inline bool SimState::MarkSeen(std::size_t cluster, std::uint64_t qid,

@@ -6,19 +6,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sppnet/bootstrap/discovery.h"
 #include "sppnet/common/check.h"
 #include "sppnet/common/rng.h"
-#include "sppnet/index/corpus.h"
-#include "sppnet/index/inverted_index.h"
 #include "sppnet/obs/metrics.h"
 #include "sppnet/obs/shard_merge.h"
 #include "sppnet/sim/event_queue.h"
@@ -414,31 +410,9 @@ class Simulator::Impl {
       }
     }
 
-    if (options_.concrete_index) InitConcreteIndexes();
     init_seconds_ = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - init_start)
                         .count();
-  }
-
-  /// Concrete-index mode: build one real inverted index per cluster
-  /// from corpus-sampled collections (owners are node ids).
-  void InitConcreteIndexes() {
-    corpus_ = std::make_unique<TitleCorpus>(CorpusParams{});
-    indexes_.resize(n_);
-    node_collections_.resize(TotalNodes());
-    const auto add_node = [&](std::uint32_t node, std::size_t cluster) {
-      const auto files = static_cast<std::size_t>(FilesOf(node));
-      node_collections_[node] =
-          corpus_->SampleCollection(node, files, &next_file_id_, ProtoRng());
-      indexes_[cluster].InsertCollection(node_collections_[node]);
-    };
-    for (std::uint32_t p = 0; p < num_partners_; ++p) {
-      add_node(p, ClusterOf(p));
-    }
-    for (std::uint32_t c = 0; c < num_clients_; ++c) {
-      const auto node = static_cast<std::uint32_t>(num_partners_ + c);
-      add_node(node, ClusterOf(node));
-    }
   }
 
   SimReport Run() {
@@ -609,15 +583,13 @@ class Simulator::Impl {
   /// every root claimed strictly earlier, then drops the underlying
   /// storage prefix (SimState::RetireBelow). Root qids are claimed in
   /// submission order, so the first live root at or past the cutoff
-  /// bounds the scan; qids never claimed (cache hits, retries, ring
-  /// waves) retire with their neighborhood. The caller must pick a
-  /// cutoff at least one in-flight horizon behind the clock — touching
-  /// a retired qid aborts through the SimState floor checks rather
-  /// than corrupting the run (stream.cc derives a conservative horizon
-  /// from the latency, retry and ring-wave bounds).
+  /// bounds the scan; qids never claimed (retries, ring waves) retire
+  /// with their neighborhood. The caller must pick a cutoff at least
+  /// one in-flight horizon behind the clock — touching a retired qid
+  /// aborts through the SimState floor checks rather than corrupting
+  /// the run (stream.cc derives a conservative horizon from the
+  /// latency, retry and ring-wave bounds).
   void RetireStateBefore(double cutoff_seconds) {
-    SPPNET_CHECK_MSG(!options_.concrete_index,
-                     "state retirement requires abstract indexes");
     if (disc_) {
       DiscRetireStateBefore(cutoff_seconds);
       return;
@@ -639,8 +611,6 @@ class Simulator::Impl {
   /// ordered logical entries, so a calendar/dense run can restore into
   /// a heap/map simulator and vice versa.
   void SaveState(CheckpointWriter& w) const {
-    SPPNET_CHECK_MSG(!options_.concrete_index,
-                     "checkpoint requires abstract indexes");
     SPPNET_CHECK_MSG(started_ && !finalized_,
                      "checkpoint requires a started, unfinalized run");
     tls_lane_ = &lanes_[0];
@@ -694,8 +664,6 @@ class Simulator::Impl {
     w.PutU64(lane().first_responses);
     w.PutDouble(lane().rings_sum);
     w.PutU64(lane().ring_queries_finished);
-    w.PutU64(cache_hits_);
-    w.PutU64(cache_misses_);
     for (std::size_t t = 0; t < kNumMsgTypes; ++t) w.PutU64(lane().msg_sent[t]);
     for (std::size_t t = 0; t < kNumMsgTypes; ++t) w.PutU64(lane().msg_recv[t]);
     w.PutU64(partner_recoveries_);
@@ -812,8 +780,6 @@ class Simulator::Impl {
   /// truncation and corruption, so failures here mean writer/reader
   /// drift or a checkpoint from a mismatched scenario.
   bool LoadState(CheckpointReader& r) {
-    SPPNET_CHECK_MSG(!options_.concrete_index,
-                     "checkpoint requires abstract indexes");
     SPPNET_CHECK_MSG(!started_, "LoadState() requires a fresh simulator");
     tls_lane_ = &lanes_[0];
     if (!r.BeginSection(kSimTag)) return false;
@@ -881,8 +847,6 @@ class Simulator::Impl {
     lane().first_responses = r.GetU64();
     lane().rings_sum = r.GetDouble();
     lane().ring_queries_finished = r.GetU64();
-    cache_hits_ = r.GetU64();
-    cache_misses_ = r.GetU64();
     for (std::size_t t = 0; t < kNumMsgTypes; ++t) lane().msg_sent[t] = r.GetU64();
     for (std::size_t t = 0; t < kNumMsgTypes; ++t) lane().msg_recv[t] = r.GetU64();
     partner_recoveries_ = r.GetU64();
@@ -1330,13 +1294,13 @@ class Simulator::Impl {
         OnJoinSubmit(e.node);
         break;
       case kJoinArrive:
-        OnJoinArrive(e.node, static_cast<std::uint32_t>(e.a), e.x);
+        OnJoinArrive(e.node, e.x);
         break;
       case kUpdateSubmit:
         OnUpdateSubmit(e.node);
         break;
       case kUpdateArrive:
-        OnUpdateArrive(e.node, static_cast<std::uint32_t>(e.a));
+        OnUpdateArrive(e.node);
         break;
       case kPartnerFail:
         OnPartnerFail(e.node);
@@ -1439,28 +1403,13 @@ class Simulator::Impl {
     if (IsHeadRole(user) && !HeadAlive(user)) return;
     const auto query_class =
         static_cast<std::uint32_t>(inputs_.query_model.SampleQueryClass(ProtoRng()));
-    if (options_.concrete_index) {
-      // Reserve the qid now so the sampled keyword string is in place
-      // before any cluster matches it (the switch below consumes ids in
-      // order).
-      state_.SetQueryString(next_qid_, corpus_->SampleQuery(ProtoRng()));
-    }
 
     switch (options_.strategy) {
       // Routed flood shares the flood submission path: the digest
-      // pruning lives entirely in the forward loop (OnQueryArrive),
-      // and Validate() rejects the result cache for routed runs.
+      // pruning lives entirely in the forward loop (OnQueryArrive).
       case SearchStrategy::kFlood:
       case SearchStrategy::kRoutedFlood: {
         const std::uint64_t qid = MakeQid(user);
-        if (options_.result_cache_ttl_seconds > 0.0) {
-          if (TryAnswerFromCache(user, qid, query_class)) {
-            // A cache-served query trivially succeeded.
-            if (recovery_enabled_ && lane().measuring) ++queries_succeeded_;
-            return;
-          }
-          if (lane().measuring) ++cache_misses_;
-        }
         if (!SubmitWithFailover(user, qid, query_class,
                                 static_cast<std::uint32_t>(ttl_ + 1))) {
           // No live partner anywhere: the query cannot be routed.
@@ -1501,87 +1450,7 @@ class Simulator::Impl {
     state.query_class = query_class;
     state.ring_ttl = ring_ttl;
     state.submit_time = lane().now;
-    state.cache_key = CacheKey(qid, query_class);
     SetRootW(qid, qid);
-  }
-
-  // --- Source-side result cache (flood strategy) -----------------------------
-
-  /// Identity of a query for caching: its class in abstract mode, the
-  /// hash of its keyword string in concrete mode.
-  std::uint64_t CacheKey(std::uint64_t qid, std::uint32_t query_class) const {
-    if (options_.concrete_index) {
-      std::uint64_t hash = 0;
-      if (state_.QueryStringHash(qid, &hash)) return hash;
-    }
-    return query_class;
-  }
-
-  /// If this cluster flooded the same query recently, answer from the
-  /// cached aggregate result set: one submission hop and one response —
-  /// no flood, no remote work. Returns true when the query was served.
-  bool TryAnswerFromCache(std::uint32_t user, std::uint64_t qid,
-                          std::uint32_t query_class) {
-    const std::size_t cluster = ClusterOf(user);
-    const std::uint64_t key = CacheKey(qid, query_class);
-    const QueryCacheEntry* found = state_.FindCacheEntry(cluster, key);
-    if (found == nullptr || found->expires < lane().now || found->results <= 0.0) {
-      return false;
-    }
-    const QueryCacheEntry& entry = *found;
-    if (lane().measuring) {
-      ++lane().queries_submitted;
-      ++cache_hits_;
-      ++lane().responses_delivered;
-      lane().results_sum += entry.results;
-      ++lane().first_responses;
-    }
-    const auto results = static_cast<std::uint32_t>(entry.results);
-    const auto addrs = static_cast<std::uint32_t>(entry.addrs);
-    const double response_bytes = inputs_.costs.ResponseBytes(
-        static_cast<double>(addrs), static_cast<double>(results));
-    if (IsPartner(user)) {
-      // The partner answers its own user locally: no messages.
-      return true;
-    }
-    const std::uint32_t partner = PickPartner(cluster);
-    if (partner == kSelfUpstream) return true;  // Disconnected anyway.
-    // Submission hop + cached response back to the client.
-    AcctSend(user, Msg::kQuery, qbytes_, sendq_ + MuxOf(user));
-    AcctRecv(partner, Msg::kQuery, qbytes_, recvq_ + MuxOf(partner));
-    AcctSend(partner, Msg::kResponse, response_bytes,
-             inputs_.costs.SendResponseUnits(static_cast<double>(addrs),
-                                             static_cast<double>(results)) +
-                 MuxOf(partner));
-    AcctRecv(user, Msg::kResponse, response_bytes,
-             inputs_.costs.RecvResponseUnits(static_cast<double>(addrs),
-                                             static_cast<double>(results)) +
-                 MuxOf(user));
-    if (lane().measuring) {
-      latency_sum_ += 2.0 * options_.hop_latency_seconds;
-    }
-    return true;
-  }
-
-  /// Accumulates a delivered response into the source cluster's cache.
-  void PopulateCache(const QueryState& state, std::uint64_t root,
-                     std::uint32_t results, std::uint32_t addrs) {
-    if (options_.result_cache_ttl_seconds <= 0.0 ||
-        options_.strategy != SearchStrategy::kFlood) {
-      return;
-    }
-    QueryCacheEntry& entry =
-        state_.CacheEntrySlot(ClusterOf(state.user), state.cache_key);
-    if (entry.expires < lane().now) {
-      // Fresh (or expired) entry: restart accumulation for this query.
-      entry.results = 0.0;
-      entry.addrs = 0.0;
-      entry.expires = lane().now + options_.result_cache_ttl_seconds;
-      entry.owner = root;
-    }
-    if (entry.owner != root) return;  // A concurrent flood already owns it.
-    entry.results += static_cast<double>(results);
-    entry.addrs += static_cast<double>(addrs);
   }
 
   /// Routes a query (with the given hop budget) into the submitting
@@ -1675,10 +1544,6 @@ class Simulator::Impl {
       return;
     }
     const std::uint64_t retry_qid = MakeQid(state.user);
-    if (options_.concrete_index) {
-      // The retry re-issues the same keyword string under a fresh qid.
-      state_.ShareQueryString(root, retry_qid);
-    }
     state.ring_ttl += 1;
     state.ring_results = 0.0;
     SetRootW(retry_qid, root);
@@ -1804,7 +1669,7 @@ class Simulator::Impl {
     // walking but do not re-query the index.
     const bool fresh = MarkSeenW(cluster, qid, source_partner);
     if (fresh) {
-      const auto [results, addrs] = MatchQuery(cluster, qid, query_class);
+      const auto [results, addrs] = MatchQuery(cluster, query_class);
       AcctProc(partner,
                inputs_.costs.ProcessQueryUnits(static_cast<double>(results)));
       if (results > 0) {
@@ -1893,7 +1758,7 @@ class Simulator::Impl {
     }
 
     // Process over the cluster index.
-    const auto [results, addrs] = MatchQuery(cluster, qid, query_class);
+    const auto [results, addrs] = MatchQuery(cluster, query_class);
     AcctProc(partner, inputs_.costs.ProcessQueryUnits(
                           static_cast<double>(results)));
     std::uint32_t total_results = results;
@@ -2020,17 +1885,9 @@ class Simulator::Impl {
   }
 
   /// Determines (results, addresses) for a query over a cluster's
-  /// index: against the real inverted index in concrete mode, or by
-  /// sampling from the Appendix-B query model otherwise.
+  /// index by sampling from the Appendix-B query model.
   std::pair<std::uint32_t, std::uint32_t> MatchQuery(
-      std::size_t cluster, std::uint64_t qid, std::uint32_t query_class) {
-    if (options_.concrete_index) {
-      const std::string* text = state_.QueryString(qid);
-      if (text == nullptr) return {0, 0};
-      const QueryResult qr = indexes_[cluster].Query(*text);
-      return {static_cast<std::uint32_t>(qr.hits.size()),
-              static_cast<std::uint32_t>(qr.distinct_owners)};
-    }
+      std::size_t cluster, std::uint32_t query_class) {
     const double f = inputs_.query_model.SelectionPower(query_class);
     const double indexed = adaptive_ ? adaptive_ctrl_->FilesSum(cluster)
                                      : inst_.indexed_files[cluster];
@@ -2324,7 +2181,7 @@ class Simulator::Impl {
         static_cast<double>(addrs), static_cast<double>(results));
     if (to == kSelfUpstream) {
       // The super-peer's own user consumes the results locally.
-      DeliverResults(qid, results, addrs, hops);
+      DeliverResults(qid, results, hops);
       return;
     }
     AcctSend(from, Msg::kResponse, bytes,
@@ -2349,7 +2206,7 @@ class Simulator::Impl {
                                              static_cast<double>(results)) +
                  MuxOf(node));
     if (!IsHeadRole(node)) {
-      DeliverResults(qid, results, addrs, hops);
+      DeliverResults(qid, results, hops);
       return;
     }
     if (!HeadAlive(node)) return;
@@ -2360,13 +2217,12 @@ class Simulator::Impl {
   }
 
   void DeliverResults(std::uint64_t qid, std::uint32_t results,
-                      std::uint32_t addrs, std::uint32_t hops) {
+                      std::uint32_t hops) {
     // Map expanding-ring retry qids back to the original query.
     const std::uint64_t root = RootOfW(qid);
     QueryState* found = FindW(root);
     if (found != nullptr) {
       QueryState& state = *found;
-      PopulateCache(state, root, results, addrs);
       if (!state.first_response_seen) {
         state.first_response_seen = true;
         if (lane().measuring) {
@@ -2463,41 +2319,11 @@ class Simulator::Impl {
     }
   }
 
-  void OnJoinArrive(std::uint32_t partner, std::uint32_t owner,
-                    double files) {
+  void OnJoinArrive(std::uint32_t partner, double files) {
     if (!IsHeadRole(partner) || !HeadAlive(partner)) return;
     AcctRecv(partner, Msg::kJoin, inputs_.costs.JoinBytes(files),
              inputs_.costs.RecvJoinUnits(files) +
                  inputs_.costs.ProcessJoinUnits(files) + MuxOf(partner));
-    if (options_.concrete_index) {
-      // Re-index the joining peer's metadata for real. The k partners
-      // of a cluster share one index object (their contents would be
-      // identical), so the second partner's re-insert is a no-op.
-      InvertedIndex& index = indexes_[ClusterOf(partner)];
-      index.EraseOwner(owner);
-      index.InsertCollection(node_collections_[owner]);
-    }
-  }
-
-  /// Concrete mode: replaces one random file of `user`'s collection
-  /// with a freshly sampled one, and queues the mutation for every
-  /// partner message that will carry it. Returns false if the user
-  /// shares nothing (the update message is still sent — its cost is
-  /// workload-model territory — but no index change happens).
-  bool PrepareConcreteUpdate(std::uint32_t user, std::size_t copies) {
-    auto& collection = node_collections_[user];
-    if (collection.empty()) return false;
-    const std::size_t slot = ProtoRng().NextBounded(collection.size());
-    const FileId old_id = collection[slot].id;
-    FileRecord fresh;
-    fresh.id = next_file_id_++;
-    fresh.owner = user;
-    fresh.title = corpus_->SampleTitle(ProtoRng());
-    collection[slot] = fresh;
-    for (std::size_t i = 0; i < copies; ++i) {
-      pending_updates_[user].emplace_back(old_id, fresh);
-    }
-    return true;
   }
 
   void OnUpdateSubmit(std::uint32_t user) {
@@ -2509,16 +2335,6 @@ class Simulator::Impl {
       // Non-redundant clusters under adaptation: nothing to mirror.
       if (adaptive_) return;
       // Mirror the update to every live co-partner.
-      std::size_t live_others = 0;
-      for (std::size_t p = 0; p < k_; ++p) {
-        const auto other = static_cast<std::uint32_t>(cluster * k_ + p);
-        if (other != user && partner_alive_[other]) ++live_others;
-      }
-      if (options_.concrete_index &&
-          PrepareConcreteUpdate(user, live_others + 1)) {
-        // Apply the partner-user's own update locally right away.
-        ApplyConcreteUpdate(user, cluster);
-      }
       for (std::size_t p = 0; p < k_; ++p) {
         const auto other = static_cast<std::uint32_t>(cluster * k_ + p);
         if (other == user || !partner_alive_[other]) continue;
@@ -2536,13 +2352,6 @@ class Simulator::Impl {
       Deliver(options_.hop_latency_seconds, kUpdateArrive, head, user);
       return;
     }
-    std::size_t live_partners = 0;
-    for (std::size_t p = 0; p < k_; ++p) {
-      if (partner_alive_[cluster * k_ + p]) ++live_partners;
-    }
-    if (options_.concrete_index && live_partners > 0) {
-      PrepareConcreteUpdate(user, live_partners);
-    }
     for (std::size_t p = 0; p < k_; ++p) {
       const auto partner = static_cast<std::uint32_t>(cluster * k_ + p);
       if (!partner_alive_[partner]) continue;
@@ -2552,27 +2361,11 @@ class Simulator::Impl {
     }
   }
 
-  /// Applies one queued concrete update of `owner` to its cluster
-  /// index (erase the old file, insert the replacement). With shared
-  /// per-cluster indexes the second partner's application is a no-op.
-  void ApplyConcreteUpdate(std::uint32_t owner, std::size_t cluster) {
-    const auto it = pending_updates_.find(owner);
-    if (it == pending_updates_.end() || it->second.empty()) return;
-    const auto [old_id, fresh] = it->second.front();
-    it->second.pop_front();
-    InvertedIndex& index = indexes_[cluster];
-    index.Erase(old_id);
-    index.Insert(fresh);
-  }
-
-  void OnUpdateArrive(std::uint32_t partner, std::uint32_t owner) {
+  void OnUpdateArrive(std::uint32_t partner) {
     if (!IsHeadRole(partner) || !HeadAlive(partner)) return;
     AcctRecv(partner, Msg::kUpdate, inputs_.costs.UpdateBytes(),
              inputs_.costs.recv_update_units +
                  inputs_.costs.process_update_units + MuxOf(partner));
-    if (options_.concrete_index) {
-      ApplyConcreteUpdate(owner, ClusterOf(partner));
-    }
   }
 
   // --- Churn / reliability -----------------------------------------------------
@@ -2852,10 +2645,6 @@ class Simulator::Impl {
       return;
     }
     const std::uint64_t retry_qid = MakeQid(user);
-    if (options_.concrete_index) {
-      // The retry re-issues the same keyword string under a fresh qid.
-      state_.ShareQueryString(root, retry_qid);
-    }
     SetRootW(retry_qid, root);
     if (counted) ++retries_;
     if (!SubmitWithFailover(user, retry_qid, state.query_class,
@@ -3208,15 +2997,6 @@ class Simulator::Impl {
       report.mean_rings_per_query =
           agg.rings_sum / static_cast<double>(agg.ring_queries_finished);
     }
-    report.cache_hits = cache_hits_;
-    if (options_.concrete_index && !indexes_.empty()) {
-      double bytes = 0.0;
-      for (const InvertedIndex& index : indexes_) {
-        bytes += static_cast<double>(index.ApproximateMemoryBytes());
-      }
-      report.mean_index_memory_bytes =
-          bytes / static_cast<double>(indexes_.size());
-    }
     report.partner_failures = partner_failures_;
     report.partner_recoveries = partner_recoveries_;
     report.cluster_outages = cluster_outages_;
@@ -3375,8 +3155,6 @@ class Simulator::Impl {
     m.GetCounter("sim.queries.submitted").Increment(agg.queries_submitted);
     m.GetCounter("sim.queries.duplicate").Increment(agg.duplicate_queries);
     m.GetCounter("sim.responses.delivered").Increment(agg.responses_delivered);
-    m.GetCounter("sim.cache.hits").Increment(cache_hits_);
-    m.GetCounter("sim.cache.misses").Increment(cache_misses_);
     m.GetCounter("sim.churn.partner_failures").Increment(partner_failures_);
     m.GetCounter("sim.churn.partner_recoveries")
         .Increment(partner_recoveries_);
@@ -3397,8 +3175,6 @@ class Simulator::Impl {
     }
     m.GetCounter("sim.state.duplicate_entries")
         .Increment(state_.duplicate_entries());
-    m.GetCounter("sim.state.query_strings")
-        .Increment(state_.interned_strings());
     m.GetGauge("sim.state.scratch_bytes")
         .SetMax(static_cast<double>(state_.ApproxScratchBytes()));
     m.GetTimer("sim.time.init_seconds").Record(init_seconds_);
@@ -3628,8 +3404,8 @@ class Simulator::Impl {
   double client_conn_ = 1.0;
 
   SimEventQueue queue_;
-  /// Duplicate tables, per-root query state, retry-root mapping, query
-  /// strings and result caches (engine-checked dense / map backends).
+  /// Duplicate tables, per-root query state and retry-root mapping
+  /// (engine-checked dense / map backends).
   SimState state_;
   /// Execution lanes: exactly one for the legacy engine, one per shard
   /// under the sharded discipline. The clock, measuring flag and
@@ -3658,18 +3434,6 @@ class Simulator::Impl {
   // Per-query latency sum (legacy engine; a sharded run accumulates
   // per-domain into latency_by_dom_ so the fold order is canonical).
   double latency_sum_ = 0.0;
-
-  // Concrete-index mode state (query strings live in state_).
-  std::unique_ptr<TitleCorpus> corpus_;
-  std::vector<InvertedIndex> indexes_;                 // One per cluster.
-  std::vector<std::vector<FileRecord>> node_collections_;
-  std::unordered_map<std::uint32_t,
-                     std::deque<std::pair<FileId, FileRecord>>>
-      pending_updates_;
-  FileId next_file_id_ = 1;
-
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
 
   // Observability tallies (see PublishMetrics). All of these are
   // derived purely from protocol actions, so they are bit-identical
@@ -4176,7 +3940,6 @@ void Simulator::Impl::DiscSaveState(CheckpointWriter& w) const {
       w.PutU32(qs.ring_ttl);
       w.PutDouble(qs.ring_results);
       w.PutDouble(qs.submit_time);
-      w.PutU64(qs.cache_key);
       w.PutBool(qs.first_response_seen);
     }
   }
@@ -4342,7 +4105,6 @@ bool Simulator::Impl::DiscLoadState(CheckpointReader& r) {
       qs.ring_ttl = r.GetU32();
       qs.ring_results = r.GetDouble();
       qs.submit_time = r.GetDouble();
-      qs.cache_key = r.GetU64();
       qs.first_response_seen = r.GetBool();
       *states.FindOrInsert(qid).first = qs;
     }
@@ -4392,8 +4154,6 @@ void SimOptions::Validate() const {
   SPPNET_CHECK_MSG(
       std::isfinite(hop_latency_seconds) && hop_latency_seconds >= 0.0,
       "hop latency must be finite and >= 0");
-  SPPNET_CHECK_MSG(result_cache_ttl_seconds >= 0.0,
-                   "result-cache TTL must be >= 0");
   // Every plan validates its own knobs unconditionally (the LayerPlan
   // contract, sim/plan.h).
   churn.Validate();
@@ -4447,10 +4207,6 @@ void SimOptions::Validate() const {
   if (RoutingActive(*this)) active |= FeatureBit(SimFeature::kRouting);
   if (consistency.enabled()) active |= FeatureBit(SimFeature::kConsistency);
   if (capacity.enabled()) active |= FeatureBit(SimFeature::kCapacity);
-  if (concrete_index) active |= FeatureBit(SimFeature::kConcreteIndex);
-  if (result_cache_ttl_seconds > 0.0) {
-    active |= FeatureBit(SimFeature::kResultCache);
-  }
   CheckFeatureCompatibility(active);
 }
 

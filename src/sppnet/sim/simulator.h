@@ -75,8 +75,8 @@ struct SimOptions {
   /// legacy single-loop engine. An enabled plan produces reports,
   /// metric digests and checkpoints bit-identical across every
   /// (num_shards, num_threads) choice; it requires a positive hop
-  /// latency (the lookahead), abstract indexes and a disabled result
-  /// cache (enforced by Validate()).
+  /// latency (the lookahead) and no routing, consistency or capacity
+  /// layer (enforced by Validate()).
   ShardPlan shards;
 
   /// Churn plan (sim/plan.h): super-peer partners fail at the end of
@@ -105,36 +105,15 @@ struct SimOptions {
   /// and is never consulted, leaving runs bit-identical to a build
   /// without the layer; an active plan draws its decisions from a
   /// dedicated RNG stream salted from `seed`. Requires the flood
-  /// strategy, abstract (non-concrete) indexes, no result cache and a
-  /// non-redundant configuration (redundancy_k == 1).
+  /// strategy and a non-redundant configuration (redundancy_k == 1).
   AdaptivePlan adaptive;
 
-  /// Concrete-index mode: instead of sampling result counts from the
-  /// Appendix-B probabilistic query model, every (virtual) super-peer
-  /// maintains a real InvertedIndex over titles drawn from a
-  /// TitleCorpus, queries are sampled keyword strings matched
-  /// conjunctively, joins re-upload and re-index actual metadata, and
-  /// updates mutate the index. Slower, but exercises the index
-  /// substrate the paper prescribes ("the super-peer may keep inverted
-  /// lists over the titles", Section 3.2) end to end.
-  bool concrete_index = false;
-
-  /// Source-side result caching (flood strategy only): a super-peer
-  /// remembers the aggregate result set of each query it recently
-  /// flooded for this many seconds; a repeat submission of the same
-  /// query by any of its users is answered from the cache instantly —
-  /// no flood, no remote processing. 0 disables caching. A classic
-  /// efficiency extension on top of the paper's design (cf. Yang &
-  /// Garcia-Molina, ICDCS'02); Zipf query popularity makes repeats
-  /// common at busy super-peers.
-  double result_cache_ttl_seconds = 0.0;
-
   /// Optional observability sink (see obs/metrics.h). When set, the
-  /// run publishes protocol counters ("sim.msg.query.sent", cache
-  /// hits/misses, failover episodes, ...), the event-queue high-water
-  /// mark gauge and the per-response hop histogram into the registry at
-  /// the end of Run(). Purely observational: attaching a registry never
-  /// changes simulated behaviour, and every published counter /
+  /// run publishes protocol counters ("sim.msg.query.sent", failover
+  /// episodes, ...), the event-queue high-water mark gauge and the
+  /// per-response hop histogram into the registry at the end of Run().
+  /// Purely observational: attaching a registry never changes
+  /// simulated behaviour, and every published counter /
   /// histogram value is bit-identical across runs with the same seed.
   /// Values are accumulated (Increment/Merge), so several runs may
   /// share one registry. Not owned; must outlive the simulator.
@@ -148,8 +127,8 @@ struct SimOptions {
   /// routing.enable to add digest pruning to kFlood / kExpandingRing
   /// refinement waves. Inactive (the default) means never consulted:
   /// runs stay bit-identical to a build without the layer. Requires
-  /// the legacy engine (no sharding), abstract indexes, no result
-  /// cache and no in-sim adaptation (enforced by Validate()).
+  /// the legacy engine (no sharding) and no in-sim adaptation
+  /// (enforced by Validate()).
   RoutingOptions routing;
 
   /// Index-consistency & replication plan (model/consistency.h,
@@ -161,10 +140,9 @@ struct SimOptions {
   /// inactive and is never consulted, leaving runs bit-identical to a
   /// build without the layer; an active plan draws all of its
   /// decisions from a dedicated RNG stream salted from `seed`.
-  /// Requires the flood strategy on the legacy engine with abstract
-  /// indexes, no result cache, no adaptation, no routing layer and
-  /// static membership — no churn, no fault plan (enforced by
-  /// Validate()).
+  /// Requires the flood strategy on the legacy engine with no
+  /// adaptation, no routing layer and static membership — no churn,
+  /// no fault plan (enforced by Validate()).
   ConsistencyPlan consistency;
 
   /// Heterogeneous peer-capacity plan (sim/plan.h, DESIGN.md §15):
@@ -176,8 +154,8 @@ struct SimOptions {
   /// highest-capacity eligible member and sustained-overloaded
   /// super-peers are demoted. The default plan is inactive and is
   /// never consulted, leaving runs bit-identical to a build without
-  /// the layer. Requires the legacy engine (no sharding) and abstract
-  /// indexes (conflict matrix in sim/plan.cc).
+  /// the layer. Requires the legacy engine, no sharding (conflict
+  /// matrix in sim/plan.cc).
   CapacityPlan capacity;
 
   // --- Search strategy (kFlood reproduces the paper's baseline) ---
@@ -231,12 +209,6 @@ struct SimReport {
   double mean_first_response_latency = 0.0;
   /// Mean final ring TTL per query (kExpandingRing only).
   double mean_rings_per_query = 0.0;
-  /// Mean resident bytes of a cluster's inverted index
-  /// (concrete_index mode only).
-  double mean_index_memory_bytes = 0.0;
-  /// Queries answered from a super-peer's result cache without
-  /// flooding (result_cache_ttl_seconds > 0 only).
-  std::uint64_t cache_hits = 0;
 
   // --- Reliability metrics (churn.enable and/or active FaultPlan) ---
   /// Partner-down events from any cause: end-of-lifespan churn plus
@@ -455,9 +427,7 @@ class Simulator {
   // --- Checkpoint (sim/stream.h wraps these in an envelope) ------------------
   /// Serializes the complete mutable state: event queue, RNG streams,
   /// per-query state, accounting tallies, fault and adaptation state.
-  /// Requires abstract-index mode (concrete_index aborts: the live
-  /// inverted indexes are out of checkpoint scope). The simulator must
-  /// be Start()ed and not finalized.
+  /// The simulator must be Start()ed and not finalized.
   void SaveState(CheckpointWriter& w) const;
   /// Restores into a freshly constructed simulator built from the SAME
   /// instance, config, inputs and options (the stream envelope's

@@ -22,7 +22,7 @@ class MetricsRegistry;
 /// Envelope identity of a stream checkpoint ("SPCK"); rejected by
 /// CheckpointReader::Open on any mismatch.
 inline constexpr std::uint32_t kStreamCheckpointMagic = 0x4b435053u;
-inline constexpr std::uint16_t kStreamCheckpointVersion = 1;
+inline constexpr std::uint16_t kStreamCheckpointVersion = 2;
 
 /// Options of the streaming serving layer on top of the simulator.
 struct StreamOptions {
@@ -34,8 +34,7 @@ struct StreamOptions {
   /// the full retry tail, doubled — DESIGN.md §11).
   double state_retention_seconds = 0.0;
   /// Retire per-query state at window boundaries so resident memory
-  /// stays flat on an unbounded run. Forced off in concrete-index mode
-  /// (interned query text is not retirable).
+  /// stays flat on an unbounded run.
   bool retire_state = true;
 
   /// Aborts (SPPNET_CHECK) on invalid configurations: a non-positive
@@ -154,7 +153,6 @@ class StreamDriver {
   SimOptions sim_options_;
   StreamOptions stream_options_;
   double retention_seconds_ = 0.0;
-  bool retire_enabled_ = false;
 
   std::unique_ptr<Simulator> sim_;
   std::uint64_t windows_emitted_ = 0;

@@ -130,18 +130,6 @@ TEST(AdaptiveSimDeathTest, ActiveAdaptationRejectsIncompatibleFeatures) {
     options.strategy = SearchStrategy::kExpandingRing;
     EXPECT_DEATH(options.Validate(), "flood strategy");
   }
-  {
-    SimOptions options;
-    options.adaptive = ActivePlan();
-    options.concrete_index = true;
-    EXPECT_DEATH(options.Validate(), "abstract indexes");
-  }
-  {
-    SimOptions options;
-    options.adaptive = ActivePlan();
-    options.result_cache_ttl_seconds = 30.0;
-    EXPECT_DEATH(options.Validate(), "result cache");
-  }
   SimOptions options;
   options.adaptive = ActivePlan();
   options.Validate();
@@ -154,8 +142,8 @@ TEST(AdaptiveSimDeathTest, SimulatorConstructorValidates) {
   const NetworkInstance instance = GenerateInstance(config, inputs, rng);
   SimOptions options;
   options.adaptive = ActivePlan();
-  options.result_cache_ttl_seconds = 30.0;
-  EXPECT_DEATH(Simulator(instance, config, inputs, options), "result cache");
+  options.strategy = SearchStrategy::kExpandingRing;
+  EXPECT_DEATH(Simulator(instance, config, inputs, options), "flood strategy");
 }
 
 TEST(AdaptiveSimDeathTest, AdaptationRequiresNonRedundantClusters) {

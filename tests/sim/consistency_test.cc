@@ -95,16 +95,6 @@ TEST(ConsistencyGatingDeathTest, RejectsIncompatibleLayers) {
     EXPECT_DEATH(o.Validate(), "legacy engine");
   }
   {
-    SimOptions o = ActiveConsistencyOptions(ConsistencyScheme::kPullTtr);
-    o.concrete_index = true;
-    EXPECT_DEATH(o.Validate(), "abstract indexes");
-  }
-  {
-    SimOptions o = ActiveConsistencyOptions(ConsistencyScheme::kPullTtr);
-    o.result_cache_ttl_seconds = 30.0;
-    EXPECT_DEATH(o.Validate(), "result cache");
-  }
-  {
     SimOptions o = ActiveConsistencyOptions(ConsistencyScheme::kNone);
     o.adaptive.probe_interval_seconds = 30.0;
     EXPECT_DEATH(o.Validate(), "adaptation");

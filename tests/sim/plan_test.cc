@@ -122,6 +122,18 @@ TEST(FeatureMatrixTest, ConflictsAreWellFormed) {
     EXPECT_TRUE(seen.insert({std::min(a, b), std::max(a, b)}).second)
         << "duplicate conflict entry: " << c.reason;
   }
+  // Eight pairings; sharded runs exclude exactly routing, consistency
+  // and capacity.
+  EXPECT_EQ(FeatureConflicts().size(), 8u);
+  std::set<SimFeature> shard_conflicts;
+  for (const FeatureConflict& c : FeatureConflicts()) {
+    if (c.a == SimFeature::kShards) shard_conflicts.insert(c.b);
+    if (c.b == SimFeature::kShards) shard_conflicts.insert(c.a);
+  }
+  EXPECT_EQ(shard_conflicts,
+            (std::set<SimFeature>{SimFeature::kRouting,
+                                  SimFeature::kConsistency,
+                                  SimFeature::kCapacity}));
 }
 
 TEST(FeatureMatrixTest, EveryFeatureHasAName) {
@@ -138,10 +150,11 @@ TEST(FeatureMatrixTest, CompatibleMasksPass) {
   CheckFeatureCompatibility(
       FeatureBit(SimFeature::kCapacity) | FeatureBit(SimFeature::kChurn) |
       FeatureBit(SimFeature::kFaults) | FeatureBit(SimFeature::kAdaptive));
-  // Capacity alongside the result cache is allowed (only shards and
-  // concrete indexes conflict).
+  // Capacity pairs with every layer but shards.
   CheckFeatureCompatibility(FeatureBit(SimFeature::kCapacity) |
-                            FeatureBit(SimFeature::kResultCache));
+                            FeatureBit(SimFeature::kRouting));
+  CheckFeatureCompatibility(FeatureBit(SimFeature::kCapacity) |
+                            FeatureBit(SimFeature::kConsistency));
 }
 
 TEST(FeatureMatrixDeathTest, ConflictingMasksDieWithTheMatrixReason) {
@@ -150,9 +163,9 @@ TEST(FeatureMatrixDeathTest, ConflictingMasksDieWithTheMatrixReason) {
                                 FeatureBit(SimFeature::kShards)),
       "the capacity layer requires the legacy engine");
   EXPECT_DEATH(
-      CheckFeatureCompatibility(FeatureBit(SimFeature::kCapacity) |
-                                FeatureBit(SimFeature::kConcreteIndex)),
-      "the capacity layer requires abstract indexes");
+      CheckFeatureCompatibility(FeatureBit(SimFeature::kConsistency) |
+                                FeatureBit(SimFeature::kShards)),
+      "the consistency layer requires the legacy engine");
   EXPECT_DEATH(
       CheckFeatureCompatibility(FeatureBit(SimFeature::kConsistency) |
                                 FeatureBit(SimFeature::kChurn)),
@@ -173,11 +186,11 @@ TEST(FeatureMatrixDeathTest, SimOptionsValidateConsultsTheMatrix) {
   EXPECT_DEATH(options.Validate(),
                "the capacity layer requires the legacy engine");
 
-  SimOptions concrete;
-  concrete.capacity.enable = true;
-  concrete.concrete_index = true;
-  EXPECT_DEATH(concrete.Validate(),
-               "the capacity layer requires abstract indexes");
+  SimOptions routed;
+  routed.routing.enable = true;
+  routed.adaptive.probe_interval_seconds = 5.0;
+  EXPECT_DEATH(routed.Validate(),
+               "content-aware routing is incompatible with in-sim adaptation");
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 // single instant from users spread over every cluster.
 
 #include <cstdint>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -29,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "report_digest.h"
 #include "sppnet/common/rng.h"
 #include "sppnet/model/config.h"
 #include "sppnet/model/instance.h"
@@ -39,60 +39,6 @@
 
 namespace sppnet {
 namespace {
-
-// FNV-1a over the bit patterns of the SimReport fields, in declaration
-// order — the same digest as engine_equivalence_test.cc so failures are
-// comparable across suites. mean_index_memory_bytes is excluded
-// (toolchain-dependent and sharded runs forbid concrete indexes
-// anyway); the whole-run event totals are compared across the matrix
-// directly.
-std::uint64_t ReportDigest(const SimReport& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_d = [&](double d) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  };
-  const auto mix_load = [&](const LoadVector& lv) {
-    mix_d(lv.in_bps);
-    mix_d(lv.out_bps);
-    mix_d(lv.proc_hz);
-  };
-  mix_d(r.measured_seconds);
-  for (const LoadVector& lv : r.partner_load) mix_load(lv);
-  for (const LoadVector& lv : r.client_load) mix_load(lv);
-  mix_load(r.aggregate);
-  mix(r.queries_submitted);
-  mix(r.responses_delivered);
-  mix(r.duplicate_queries);
-  mix_d(r.mean_results_per_query);
-  mix_d(r.mean_response_hops);
-  mix_d(r.mean_first_response_latency);
-  mix_d(r.mean_rings_per_query);
-  mix(r.cache_hits);
-  mix(r.partner_failures);
-  mix(r.partner_recoveries);
-  mix(r.cluster_outages);
-  mix_d(r.cluster_outage_fraction);
-  mix_d(r.client_disconnected_fraction);
-  mix(r.faults_crashes);
-  mix(r.faults_messages_dropped);
-  mix(r.faults_request_timeouts);
-  mix(r.faults_retries);
-  mix(r.faults_failover_episodes);
-  mix(r.faults_client_rejoins);
-  mix(r.queries_succeeded);
-  mix(r.queries_failed);
-  mix_d(r.query_success_rate);
-  mix_d(r.mean_recovery_latency_seconds);
-  return h;
-}
 
 // The deterministic registry sections minus everything legitimately
 // allowed to vary across the (S, T) matrix: the engine-specific
@@ -143,9 +89,8 @@ FaultPlan ActivePlan() {
   return plan;
 }
 
-// The scenario matrix mirrors engine_equivalence_test.cc minus the
-// concrete-index/result-cache case (sharded runs forbid both). The
-// digests pin the S=1, T=1 run of the sharded discipline itself — the
+// The scenario matrix mirrors engine_equivalence_test.cc's cases that
+// the sharded discipline admits. The digests pin the S=1, T=1 run of the sharded discipline itself — the
 // discipline splits the RNG streams per domain, so its event stream is
 // deliberately distinct from the legacy engine's.
 std::vector<Scenario> Scenarios() {
