@@ -107,6 +107,38 @@ TEST(QueryModelParamsFromCorpusTest, CalibratesAnalyticalModel) {
               1e-6 * expected_hits);
 }
 
+TEST(TitleCorpusTest, KnownItemQueriesFindTheirFile) {
+  // A super-peer's index over corpus titles answers a known-item search:
+  // any two keywords of a shared title retrieve that file, whatever
+  // else the cluster shares.
+  const TitleCorpus corpus = TitleCorpus::Default();
+  Rng rng(9);
+  InvertedIndex index;
+  FileId next_id = 1;
+  for (OwnerId owner = 0; owner < 9; ++owner) {
+    index.InsertCollection(corpus.SampleCollection(owner, 150, &next_id, rng));
+  }
+  for (int i = 0; i < 200; ++i) {
+    FileRecord wanted;
+    wanted.id = next_id++;
+    wanted.owner = 3;
+    wanted.title = corpus.SampleTitle(rng);
+    index.Insert(wanted);
+    const auto tokens = InvertedIndex::Tokenize(wanted.title);
+    ASSERT_GE(tokens.size(), 2u);
+    const QueryResult r = index.Query(tokens[0] + " " + tokens.back());
+    bool found = false;
+    for (const QueryHit& hit : r.hits) {
+      if (hit.file == wanted.id) {
+        EXPECT_EQ(hit.owner, 3u);
+        found = true;
+      }
+    }
+    EXPECT_TRUE(found) << wanted.title;
+    EXPECT_GE(r.distinct_owners, 1u);
+  }
+}
+
 TEST(MeasureCorpusModelTest, DeterministicForSameSeed) {
   const TitleCorpus corpus = TitleCorpus::Default();
   Rng a(8), b(8);
