@@ -166,4 +166,19 @@ std::vector<double> CheckpointReader::GetDoubleVector() {
   return v;
 }
 
+void PutRng(CheckpointWriter& w, const Rng& rng) {
+  const Rng::State st = rng.SaveState();
+  for (const std::uint64_t word : st.s) w.PutU64(word);
+  w.PutDouble(st.gauss_spare);
+  w.PutBool(st.has_gauss_spare);
+}
+
+void GetRng(CheckpointReader& r, Rng& rng) {
+  Rng::State st;
+  for (std::uint64_t& word : st.s) word = r.GetU64();
+  st.gauss_spare = r.GetDouble();
+  st.has_gauss_spare = r.GetBool();
+  if (r.ok()) rng.RestoreState(st);
+}
+
 }  // namespace sppnet

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sppnet/common/rng.h"
 #include "sppnet/proto/wire.h"
 
 namespace sppnet {
@@ -117,6 +118,12 @@ class CheckpointReader {
   ByteReader reader_;
   bool failed_ = false;
 };
+
+/// An RNG stream's full state (xoshiro words plus the cached Gaussian
+/// spare), so a restored stream continues bit-identically.
+void PutRng(CheckpointWriter& w, const Rng& rng);
+/// Counterpart of PutRng; leaves `rng` untouched once `r` has failed.
+void GetRng(CheckpointReader& r, Rng& rng);
 
 }  // namespace sppnet
 

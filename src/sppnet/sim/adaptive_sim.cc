@@ -495,21 +495,6 @@ namespace {
 // Section tag bracketing the controller payload ("adpt").
 constexpr std::uint32_t kAdaptiveTag = 0x74706461u;
 
-void PutRng(CheckpointWriter& w, const Rng& rng) {
-  const Rng::State st = rng.SaveState();
-  for (const std::uint64_t s : st.s) w.PutU64(s);
-  w.PutDouble(st.gauss_spare);
-  w.PutBool(st.has_gauss_spare);
-}
-
-void GetRng(CheckpointReader& r, Rng& rng) {
-  Rng::State st;
-  for (std::uint64_t& s : st.s) s = r.GetU64();
-  st.gauss_spare = r.GetDouble();
-  st.has_gauss_spare = r.GetBool();
-  if (r.ok()) rng.RestoreState(st);
-}
-
 }  // namespace
 
 void AdaptiveController::SaveTo(CheckpointWriter& w) const {

@@ -108,6 +108,8 @@ namespace {
 // ("stat" in little-endian ASCII).
 constexpr std::uint32_t kStateTag = 0x74617473u;
 
+}  // namespace
+
 void PutQueryState(CheckpointWriter& w, const QueryState& s) {
   w.PutU32(s.user);
   w.PutU32(s.query_class);
@@ -127,8 +129,6 @@ QueryState GetQueryState(CheckpointReader& r) {
   s.first_response_seen = r.GetBool();
   return s;
 }
-
-}  // namespace
 
 void SimState::SaveTo(CheckpointWriter& w) const {
   w.BeginSection(kStateTag);
@@ -208,22 +208,27 @@ void SimState::SaveTo(CheckpointWriter& w) const {
 bool SimState::LoadFrom(CheckpointReader& r) {
   SPPNET_CHECK(duplicate_entries_ == 0 && qid_base_ == 0);
   if (!r.BeginSection(kStateTag)) return false;
-  qid_base_ = r.GetU64();
+  const std::uint64_t floor = r.GetU64();
   const std::uint64_t saved_duplicates = r.GetU64();
-  EnsureClusters(static_cast<std::size_t>(r.GetU64()));
+  const std::uint64_t clusters = r.GetU64();
+  if (!r.ok() || clusters > kMaxClusters) return false;
+  qid_base_ = floor;
+  EnsureClusters(static_cast<std::size_t>(clusters));
 
   const std::uint64_t num_seen = r.GetU64();
   for (std::uint64_t i = 0; i < num_seen && r.ok(); ++i) {
     const std::uint64_t qid = r.GetU64();
-    const std::size_t cluster = static_cast<std::size_t>(r.GetU64());
+    const std::uint64_t cluster = r.GetU64();
     const std::uint32_t upstream = r.GetU32();
-    if (r.ok()) MarkSeen(cluster, qid, upstream);
+    if (qid < floor || cluster >= clusters) return false;
+    if (r.ok()) MarkSeen(static_cast<std::size_t>(cluster), qid, upstream);
   }
 
   const std::uint64_t num_states = r.GetU64();
   for (std::uint64_t i = 0; i < num_states && r.ok(); ++i) {
     const std::uint64_t qid = r.GetU64();
     const QueryState state = GetQueryState(r);
+    if (qid < floor || Find(qid) != nullptr) return false;
     if (r.ok()) Claim(qid) = state;
   }
 
@@ -231,6 +236,7 @@ bool SimState::LoadFrom(CheckpointReader& r) {
   for (std::uint64_t i = 0; i < num_roots && r.ok(); ++i) {
     const std::uint64_t qid = r.GetU64();
     const std::uint64_t root = r.GetU64();
+    if (qid < floor) return false;
     if (r.ok()) SetRoot(qid, root);
   }
 

@@ -36,6 +36,11 @@ struct QueryState {
   bool first_response_seen = false;
 };
 
+/// One QueryState's checkpoint fields, shared by SimState and the
+/// sharded engine's per-domain containers.
+void PutQueryState(CheckpointWriter& w, const QueryState& s);
+QueryState GetQueryState(CheckpointReader& r);
+
 /// Open-addressing uint64 -> V table: power-of-two capacity, linear
 /// probing, generation-stamped occupancy (Clear() is O(1) — bump the
 /// generation). Point lookups only; nothing is ever erased, and the
@@ -149,6 +154,12 @@ class FlatMap64 {
 /// (see DESIGN.md §9 for the determinism argument).
 class SimState {
  public:
+  /// Largest cluster-slot space a checkpoint may declare. Cluster ids
+  /// share the 25-bit domain field of the sharded event key, and the
+  /// reference backend allocates one table per slot, so a larger count
+  /// is a malformed payload, not a network.
+  static constexpr std::size_t kMaxClusters = std::size_t{1} << 24;
+
   SimState(SimStateBackend backend, std::size_t num_clusters);
 
   /// Grows the per-cluster containers to cover cluster ids below
@@ -196,7 +207,10 @@ class SimState {
   /// under the other.
   void SaveTo(CheckpointWriter& w) const;
   /// Populates this freshly constructed, still-empty state (checked)
-  /// from a checkpoint. Returns false when the payload is malformed.
+  /// from a checkpoint. Returns false when the payload is malformed: a
+  /// cluster count above kMaxClusters, a cluster id outside the saved
+  /// count, a qid below the saved retirement floor, or a qid claimed
+  /// twice.
   bool LoadFrom(CheckpointReader& r);
 
   // --- Introspection (sim.state.* gauges) ----------------------------------

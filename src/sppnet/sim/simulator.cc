@@ -209,19 +209,64 @@ double BitsTime(std::uint64_t bits) { return std::bit_cast<double>(bits); }
 // Section tag of the simulator's own checkpoint section ("simu").
 constexpr std::uint32_t kSimTag = 0x756d6973u;
 
-void PutRng(CheckpointWriter& w, const Rng& rng) {
-  const Rng::State st = rng.SaveState();
-  for (const std::uint64_t word : st.s) w.PutU64(word);
-  w.PutDouble(st.gauss_spare);
-  w.PutBool(st.has_gauss_spare);
+// Pending events travel with their original (time, seq) keys, in the
+// order the engine core hands them over.
+void PutEvents(CheckpointWriter& w, const std::vector<SimEvent>& events) {
+  w.PutU64(events.size());
+  for (const SimEvent& e : events) {
+    w.PutDouble(e.time);
+    w.PutU64(e.seq);
+    w.PutU32(e.kind);
+    w.PutU32(e.node);
+    w.PutU64(e.a);
+    w.PutU64(e.b);
+    w.PutDouble(e.x);
+  }
 }
 
-void GetRng(CheckpointReader& r, Rng& rng) {
-  Rng::State st;
-  for (std::uint64_t& word : st.s) word = r.GetU64();
-  st.gauss_spare = r.GetDouble();
-  st.has_gauss_spare = r.GetBool();
-  if (r.ok()) rng.RestoreState(st);
+std::vector<SimEvent> GetEvents(CheckpointReader& r) {
+  const std::uint64_t count = r.GetU64();
+  std::vector<SimEvent> events;
+  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+    SimEvent e;
+    e.time = r.GetDouble();
+    e.seq = r.GetU64();
+    e.kind = r.GetU32();
+    e.node = r.GetU32();
+    e.a = r.GetU64();
+    e.b = r.GetU64();
+    e.x = r.GetDouble();
+    events.push_back(e);
+  }
+  return events;
+}
+
+// A sharded query container, written sorted by key: FlatMap64 iteration
+// order is layout-dependent and must not leak into the payload.
+template <typename V, typename PutValue>
+void PutEntries(CheckpointWriter& w, const FlatMap64<V>& map,
+                PutValue put_value) {
+  std::vector<std::pair<std::uint64_t, V>> entries;
+  entries.reserve(map.size());
+  map.ForEach([&](std::uint64_t key, const V& value) {
+    entries.emplace_back(key, value);
+  });
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  w.PutU64(entries.size());
+  for (const auto& [key, value] : entries) {
+    w.PutU64(key);
+    put_value(value);
+  }
+}
+
+template <typename V, typename GetValue>
+void GetEntries(CheckpointReader& r, FlatMap64<V>& map, GetValue get_value) {
+  const std::uint64_t count = r.GetU64();
+  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+    const std::uint64_t key = r.GetU64();
+    *map.FindOrInsert(key).first = get_value();
+  }
 }
 
 void PutHistogram(CheckpointWriter& w, const Histogram& h) {
@@ -602,46 +647,44 @@ class Simulator::Impl {
     state_.RetireBelow(retire_scan_qid_);
   }
 
-  /// Serializes the complete mutable simulator state (DESIGN.md §11).
-  /// Static and derived members — the instance, cost caches, the
-  /// connection layout — are rebuilt identically by the restoring
-  /// constructor and are not written. The serialized form is engine-
-  /// and backend-portable: pending events carry their original
-  /// (time, seq) keys and per-query state is written as canonically
-  /// ordered logical entries, so a calendar/dense run can restore into
-  /// a heap/map simulator and vice versa.
+  /// Serializes the complete mutable simulator state (DESIGN.md §11) as
+  /// one payload: the engine-discipline marker and canonical clock, the
+  /// pending events, the engine core (legacy: RNG, sequence and qid
+  /// counters, SimState; sharded: DiscSaveState), then the sections
+  /// every engine shares — load and churn vectors, the folded lane
+  /// tallies, the control globals and one section per layer. Static and
+  /// derived members (the instance, cost caches, the connection layout,
+  /// routing digests, sampled capacities) are rebuilt identically by the
+  /// restoring constructor and are not written. Events carry their
+  /// original keys and every container is written in a canonical order,
+  /// so a payload restores into any queue engine and state backend (and,
+  /// for the sharded core, any shard/thread plan).
   void SaveState(CheckpointWriter& w) const {
     SPPNET_CHECK_MSG(started_ && !finalized_,
                      "checkpoint requires a started, unfinalized run");
+    for (const Lane& ln : lanes_) {
+      SPPNET_CHECK_MSG(ln.outbox.empty() && ln.ctl_outbox.empty(),
+                       "checkpoint cut inside a parallel phase");
+    }
     tls_lane_ = &lanes_[0];
     w.BeginSection(kSimTag);
-    // Engine-discipline marker. A legacy payload restores only into a
-    // legacy simulator and a sharded payload only into a sharded one
-    // (any shard/thread count: the payload is canonical — see
-    // DiscSaveState); the stream fingerprint rejects the mismatch
-    // before this marker is ever compared.
+    // Engine-discipline marker: a legacy payload restores only into a
+    // legacy simulator and a sharded one only into a sharded one (the
+    // stream fingerprint rejects the mismatch before this is compared).
     w.PutBool(disc_);
+    const Lane agg = FoldedLanes();
+    w.PutDouble(agg.now);  // Canonical clock: the last executed event.
     if (disc_) {
       DiscSaveState(w);
-      return;
+    } else {
+      PutEvents(w, queue_.SnapshotEvents());
+      w.PutU64(queue_.next_seq());
+      PutRng(w, rng_);
+      w.PutU64(next_qid_);
+      w.PutU64(retire_scan_qid_);
+      w.PutDouble(latency_sum_);
+      state_.SaveTo(w);
     }
-    w.PutDouble(lane().now);
-    PutRng(w, rng_);
-    PutRng(w, injector_.stream());
-    const std::vector<SimEvent> events = queue_.SnapshotEvents();
-    w.PutU64(events.size());
-    for (const SimEvent& e : events) {
-      w.PutDouble(e.time);
-      w.PutU64(e.seq);
-      w.PutU32(e.kind);
-      w.PutU32(e.node);
-      w.PutU64(e.a);
-      w.PutU64(e.b);
-      w.PutDouble(e.x);
-    }
-    w.PutU64(queue_.next_seq());
-    state_.SaveTo(w);
-    w.PutU64(retire_scan_qid_);
     // Load accounting and churn state.
     w.PutDoubleVector(in_bytes_);
     w.PutDoubleVector(out_bytes_);
@@ -650,40 +693,40 @@ class Simulator::Impl {
     w.PutU32Vector(alive_partners_);
     w.PutDoubleVector(outage_start_);
     w.PutU32Vector(rr_);
-    // Tallies.
-    w.PutU64(next_qid_);
-    w.PutU64(lane().queries_submitted);
-    w.PutU64(lane().responses_delivered);
-    w.PutU64(lane().duplicate_queries);
+    // Lane tallies, folded in lane order (a legacy run has one lane).
+    w.PutU64(agg.queries_submitted);
+    w.PutU64(agg.responses_delivered);
+    w.PutU64(agg.duplicate_queries);
+    w.PutU64(agg.first_responses);
+    w.PutU64(agg.ring_queries_finished);
+    w.PutU64(agg.messages_dropped);
+    w.PutU64(agg.failover_episodes);
+    w.PutU64(agg.queries_failed);
+    w.PutU64(agg.events_scheduled);
+    w.PutU64(agg.events_dispatched);
+    w.PutDouble(agg.results_sum);
+    w.PutDouble(agg.hops_sum);
+    w.PutDouble(agg.rings_sum);
+    for (std::size_t t = 0; t < kNumMsgTypes; ++t) w.PutU64(agg.msg_sent[t]);
+    for (std::size_t t = 0; t < kNumMsgTypes; ++t) w.PutU64(agg.msg_recv[t]);
+    PutHistogram(w, agg.hop_histogram);
+    // Control globals.
     w.PutU64(partner_failures_);
-    w.PutU64(cluster_outages_);
-    w.PutDouble(lane().results_sum);
-    w.PutDouble(lane().hops_sum);
-    w.PutDouble(disconnected_client_seconds_);
-    w.PutDouble(latency_sum_);
-    w.PutU64(lane().first_responses);
-    w.PutDouble(lane().rings_sum);
-    w.PutU64(lane().ring_queries_finished);
-    for (std::size_t t = 0; t < kNumMsgTypes; ++t) w.PutU64(lane().msg_sent[t]);
-    for (std::size_t t = 0; t < kNumMsgTypes; ++t) w.PutU64(lane().msg_recv[t]);
     w.PutU64(partner_recoveries_);
+    w.PutU64(cluster_outages_);
+    w.PutDouble(disconnected_client_seconds_);
     w.PutU64(static_cast<std::uint64_t>(queue_depth_hwm_));
-    w.PutU64(lane().events_dispatched);
-    w.PutU64(lane().events_scheduled);
-    PutHistogram(w, lane().hop_histogram);
-    // Fault layer. Tallies and histograms are written unconditionally
-    // (outage time accrues under plain churn too); the membership
-    // vectors exist only for active plans.
+    // Fault layer. The stream, tallies and histograms are written
+    // unconditionally (outage time accrues under plain churn too); the
+    // membership vectors exist only for active plans.
+    PutRng(w, injector_.stream());
     w.PutDouble(outage_seconds_);
     w.PutU64(crashes_);
-    w.PutU64(lane().messages_dropped);
     w.PutU64(request_timeouts_);
     w.PutU64(retries_);
-    w.PutU64(lane().failover_episodes);
     w.PutU64(client_rejoins_);
     w.PutU64(queries_succeeded_);
-    w.PutU64(lane().queries_failed);
-  PutHistogram(w, recovery_latency_hist_);
+    PutHistogram(w, recovery_latency_hist_);
     PutHistogram(w, orphaned_clients_hist_);
     w.PutBool(fault_active_);
     if (fault_active_) {
@@ -715,9 +758,7 @@ class Simulator::Impl {
       w.PutBool(adapt_converged_);
       w.PutU64(adapt_converged_round_);
     }
-    // Routing layer. The digest table is rebuilt identically at
-    // construction (a pure function of instance + seed + options), so
-    // only the tallies are run state.
+    // Routing layer: only the tallies are run state.
     w.PutBool(routing_active_);
     if (routing_active_) {
       w.PutU64(routing_digest_refreshes_);
@@ -750,9 +791,7 @@ class Simulator::Impl {
       PutHistogram(w, freshness_hist_);
     }
     // Capacity layer: window accumulators, per-node overload flags and
-    // folded tallies. The sampled capacities themselves are rebuilt
-    // identically at construction (a pure function of seed + plan), so
-    // they never enter a checkpoint.
+    // folded tallies.
     w.PutBool(capacity_active_);
     if (capacity_active_) {
       w.PutDoubleVector(cap_in_bytes_);
@@ -773,60 +812,53 @@ class Simulator::Impl {
   }
 
   /// Counterpart of SaveState on a freshly constructed simulator with
-  /// the same instance, configuration and protocol options (the engine
-  /// and state backend may differ). Replaces Start(). Returns false —
-  /// leaving the simulator unusable — on any malformed payload; the
-  /// envelope checksum in CheckpointReader::Open has already rejected
-  /// truncation and corruption, so failures here mean writer/reader
-  /// drift or a checkpoint from a mismatched scenario.
+  /// the same instance, configuration and protocol options (the engine,
+  /// state backend and shard plan may differ). Replaces Start(). Returns
+  /// false — leaving the simulator unusable — on any malformed payload:
+  /// a layer section that does not match this simulator's layers, a
+  /// vector whose shape does not match the reconstructed layout, or a
+  /// pending event RestoredEventValid refuses. The envelope checksum in
+  /// CheckpointReader::Open has already rejected truncation and
+  /// corruption.
   bool LoadState(CheckpointReader& r) {
     SPPNET_CHECK_MSG(!started_, "LoadState() requires a fresh simulator");
     tls_lane_ = &lanes_[0];
     if (!r.BeginSection(kSimTag)) return false;
     started_ = true;
     if (r.GetBool() != disc_) return false;  // Engine-discipline marker.
-    if (disc_) return DiscLoadState(r);
-    lane().now = r.GetDouble();
-    GetRng(r, rng_);
-    GetRng(r, injector_.stream());
-    const std::uint64_t num_events = r.GetU64();
-    std::vector<SimEvent> events;
-    for (std::uint64_t i = 0; i < num_events && r.ok(); ++i) {
-      SimEvent e;
-      e.time = r.GetDouble();
-      e.seq = r.GetU64();
-      e.kind = r.GetU32();
-      e.node = r.GetU32();
-      e.a = r.GetU64();
-      e.b = r.GetU64();
-      e.x = r.GetDouble();
-      events.push_back(e);
+    const double clock = r.GetDouble();
+    const std::vector<SimEvent> events = GetEvents(r);
+    std::uint64_t next_seq = 0;
+    if (disc_) {
+      if (!DiscLoadState(r)) return false;
+    } else {
+      next_seq = r.GetU64();
+      GetRng(r, rng_);
+      next_qid_ = r.GetU64();
+      retire_scan_qid_ = r.GetU64();
+      latency_sum_ = r.GetDouble();
+      if (!state_.LoadFrom(r)) return false;
     }
-    const std::uint64_t next_seq = r.GetU64();
     if (!r.ok()) return false;
-    // Validate before handing to the queue: RestorePending aborts on
-    // violated invariants, but a foreign payload should fail cleanly.
-    // Legacy runs schedule the pre-sharding kinds plus kDigestRefresh
-    // (routing is confined to the legacy engine) and, when the
-    // consistency layer is on, the four consistency kinds (and the
-    // capacity window clock for an active capacity plan); the
-    // sharded-only cluster kinds in between stay rejected.
+    // Validate before handing to the queues: the queues abort on
+    // violated invariants and the sharded routing indexes by address,
+    // but a foreign payload must fail cleanly.
     for (const SimEvent& e : events) {
-      const bool consistency_kind = consistency_active_ &&
-                                    e.kind >= kMetadataChange &&
-                                    e.kind <= kRefreshReplyArrive;
-      const bool capacity_kind =
-          capacity_active_ && e.kind == kCapacityWindow;
-      if (!std::isfinite(e.time) ||
-          (e.kind > kTraceQuerySubmit && e.kind != kDigestRefresh &&
-           !consistency_kind && !capacity_kind) ||
-          e.seq >= next_seq) {
-        return false;
-      }
+      if (!RestoredEventValid(e, next_seq)) return false;
     }
-    queue_.RestorePending(events, next_seq);
-    if (!state_.LoadFrom(r)) return false;
-    retire_scan_qid_ = r.GetU64();
+    if (disc_) {
+      // Events re-enter the queue owning their domain under THIS
+      // simulator's shard map (the payload carries content keys).
+      for (const SimEvent& e : events) {
+        if (IsCtlKind(e.kind)) {
+          ctl_queue_->SchedulePreKeyed(e);
+        } else {
+          shard_queues_[DomainOfEvent(e) % num_shards_].SchedulePreKeyed(e);
+        }
+      }
+    } else {
+      queue_.RestorePending(events, next_seq);
+    }
     in_bytes_ = r.GetDoubleVector();
     out_bytes_ = r.GetDoubleVector();
     units_ = r.GetDoubleVector();
@@ -834,38 +866,46 @@ class Simulator::Impl {
     alive_partners_ = r.GetU32Vector();
     outage_start_ = r.GetDoubleVector();
     rr_ = r.GetU32Vector();
-    next_qid_ = r.GetU64();
-    lane().queries_submitted = r.GetU64();
-    lane().responses_delivered = r.GetU64();
-    lane().duplicate_queries = r.GetU64();
+    // Every lane resumes from the canonical clock (a sharded drain
+    // stamps per-event times before any handler reads them); the folded
+    // tallies restore into lane 0.
+    for (Lane& ln : lanes_) {
+      ln.now = clock;
+      ln.measuring = clock >= options_.warmup_seconds;
+      ln.cur_domain = kShardCtlDomain;
+    }
+    Lane& ln0 = lanes_[0];
+    ln0.queries_submitted = r.GetU64();
+    ln0.responses_delivered = r.GetU64();
+    ln0.duplicate_queries = r.GetU64();
+    ln0.first_responses = r.GetU64();
+    ln0.ring_queries_finished = r.GetU64();
+    ln0.messages_dropped = r.GetU64();
+    ln0.failover_episodes = r.GetU64();
+    ln0.queries_failed = r.GetU64();
+    ln0.events_scheduled = r.GetU64();
+    ln0.events_dispatched = r.GetU64();
+    ln0.results_sum = r.GetDouble();
+    ln0.hops_sum = r.GetDouble();
+    ln0.rings_sum = r.GetDouble();
+    for (std::size_t t = 0; t < kNumMsgTypes; ++t) ln0.msg_sent[t] = r.GetU64();
+    for (std::size_t t = 0; t < kNumMsgTypes; ++t) ln0.msg_recv[t] = r.GetU64();
+    if (!GetHistogram(r, ln0.hop_histogram)) return false;
     partner_failures_ = r.GetU64();
-    cluster_outages_ = r.GetU64();
-    lane().results_sum = r.GetDouble();
-    lane().hops_sum = r.GetDouble();
-    disconnected_client_seconds_ = r.GetDouble();
-    latency_sum_ = r.GetDouble();
-    lane().first_responses = r.GetU64();
-    lane().rings_sum = r.GetDouble();
-    lane().ring_queries_finished = r.GetU64();
-    for (std::size_t t = 0; t < kNumMsgTypes; ++t) lane().msg_sent[t] = r.GetU64();
-    for (std::size_t t = 0; t < kNumMsgTypes; ++t) lane().msg_recv[t] = r.GetU64();
     partner_recoveries_ = r.GetU64();
+    cluster_outages_ = r.GetU64();
+    disconnected_client_seconds_ = r.GetDouble();
     queue_depth_hwm_ = static_cast<std::size_t>(r.GetU64());
-    lane().events_dispatched = r.GetU64();
-    lane().events_scheduled = r.GetU64();
-    if (!GetHistogram(r, lane().hop_histogram)) return false;
+    GetRng(r, injector_.stream());
     outage_seconds_ = r.GetDouble();
     crashes_ = r.GetU64();
-    lane().messages_dropped = r.GetU64();
     request_timeouts_ = r.GetU64();
     retries_ = r.GetU64();
-    lane().failover_episodes = r.GetU64();
     client_rejoins_ = r.GetU64();
     queries_succeeded_ = r.GetU64();
-    lane().queries_failed = r.GetU64();
     if (!GetHistogram(r, recovery_latency_hist_)) return false;
     if (!GetHistogram(r, orphaned_clients_hist_)) return false;
-    const bool saved_fault_active = r.GetBool();
+    if (r.GetBool() != fault_active_) return false;
     if (fault_active_) {
       client_current_cluster_ = r.GetU32Vector();
       const std::uint64_t num_lists = r.GetU64();
@@ -877,7 +917,7 @@ class Simulator::Impl {
       orphaned_since_ = r.GetDoubleVector();
     }
     ttl_ = static_cast<int>(r.GetU32());
-    const bool saved_adaptive = r.GetBool();
+    if (r.GetBool() != adaptive_) return false;
     if (adaptive_) {
       if (!adaptive_ctrl_->LoadFrom(r)) return false;
       adapt_in_bytes_ = r.GetDoubleVector();
@@ -896,13 +936,13 @@ class Simulator::Impl {
       adapt_converged_ = r.GetBool();
       adapt_converged_round_ = r.GetU64();
     }
-    const bool saved_routing = r.GetBool();
+    if (r.GetBool() != routing_active_) return false;
     if (routing_active_) {
       routing_digest_refreshes_ = r.GetU64();
       routing_suppressed_forwards_ = r.GetU64();
       routing_biased_hops_ = r.GetU64();
     }
-    const bool saved_consistency = r.GetBool();
+    if (r.GetBool() != consistency_active_) return false;
     if (consistency_active_) {
       GetRng(r, cons_rng_);
       cons_stale_ = r.GetDoubleVector();
@@ -921,7 +961,7 @@ class Simulator::Impl {
       consistency_replication_bytes_ = r.GetDouble();
       if (!GetHistogram(r, freshness_hist_)) return false;
     }
-    const bool saved_capacity = r.GetBool();
+    if (r.GetBool() != capacity_active_) return false;
     if (capacity_active_) {
       cap_in_bytes_ = r.GetDoubleVector();
       cap_out_bytes_ = r.GetDoubleVector();
@@ -938,21 +978,20 @@ class Simulator::Impl {
       cap_sp_util_sum_ = r.GetDouble();
       if (!GetHistogram(r, cap_sp_util_hist_)) return false;
     }
-    lane().measuring = lane().now >= options_.warmup_seconds;
-    // A checkpoint from a scenario with a different fault/adaptation
-    // layer, or vectors inconsistent with the reconstructed layout,
-    // is rejected wholesale.
-    const std::size_t total = num_partners_ + num_clients_;
-    bool consistent = saved_fault_active == fault_active_ &&
-                      saved_adaptive == adaptive_ &&
-                      saved_routing == routing_active_ &&
-                      saved_consistency == consistency_active_ &&
-                      std::isfinite(lane().now) && lane().now >= 0.0 && ttl_ >= 0 &&
+    // The post-load check: every restored vector has the shape the
+    // reconstructed layout needs, so no handler indexes past its end.
+    const std::size_t total = TotalNodes();
+    bool consistent = std::isfinite(clock) && clock >= 0.0 && ttl_ >= 0 &&
                       in_bytes_.size() == total &&
                       out_bytes_.size() == total && units_.size() == total &&
                       partner_alive_.size() == num_partners_ &&
                       alive_partners_.size() >= n_ && rr_.size() >= n_ &&
                       outage_start_.size() >= n_;
+    if (disc_) {
+      consistent = consistent && ctr_dom_.size() == n_ &&
+                   user_qid_ctr_.size() == total &&
+                   latency_by_dom_.size() == n_;
+    }
     if (fault_active_) {
       consistent = consistent &&
                    client_current_cluster_.size() == num_clients_ &&
@@ -968,7 +1007,6 @@ class Simulator::Impl {
       consistent = consistent && cons_stale_.size() == n_ &&
                    cons_replicas_.size() == n_;
     }
-    consistent = consistent && saved_capacity == capacity_active_;
     if (capacity_active_) {
       consistent = consistent && cap_in_bytes_.size() == total &&
                    cap_out_bytes_.size() == total &&
@@ -980,6 +1018,82 @@ class Simulator::Impl {
   }
 
  private:
+  /// The restored-event rule shared by both engines: a finite,
+  /// non-negative time; a kind some active layer schedules; an address
+  /// in range for that kind (a partner slot, a cluster or a node); and,
+  /// for the legacy engine, a sequence number below the restored
+  /// counter.
+  bool RestoredEventValid(const SimEvent& e, std::uint64_t next_seq) const {
+    if (!std::isfinite(e.time) || e.time < 0.0) return false;
+    if (!disc_ && e.seq >= next_seq) return false;
+    bool scheduled = true;
+    std::size_t bound = TotalNodes();
+    switch (e.kind) {
+      case kQuerySubmit:
+      case kQueryArrive:
+      case kResponseArrive:
+      case kJoinSubmit:
+      case kJoinArrive:
+      case kUpdateSubmit:
+      case kUpdateArrive:
+      case kWalkArrive:
+      case kRingCheck:
+      case kTraceQuerySubmit:
+        break;
+      case kPartnerFail:
+        scheduled = options_.churn.enabled();
+        bound = num_partners_;
+        break;
+      case kPartnerRecover:
+        scheduled = options_.churn.enabled() || fault_active_;
+        bound = num_partners_;
+        break;
+      case kPartnerCrash:
+        scheduled = fault_active_;
+        bound = num_partners_;
+        break;
+      case kRequestCheck:
+      case kRetrySubmit:
+        scheduled = recovery_enabled_;
+        break;
+      case kAdaptProbeTick:
+      case kAdaptProbeArrive:
+      case kAdaptReportArrive:
+      case kAdaptRound:
+      case kAdaptTtlArrive:
+        scheduled = adaptive_;
+        break;
+      case kClusterQueryArrive:
+      case kClusterWalkLaunch:
+      case kClusterWalkArrive:
+        scheduled = disc_ && !adaptive_;
+        bound = n_;
+        break;
+      case kRejoinRequest:
+        scheduled = disc_ && fault_active_;
+        break;
+      case kDigestRefresh:
+        scheduled = routing_active_;
+        break;
+      case kMetadataChange:
+      case kInvalidateArrive:
+        scheduled = consistency_active_;
+        break;
+      case kRefreshPollTick:
+      case kRefreshReplyArrive:
+        scheduled = consistency_active_ && options_.consistency.scheme ==
+                                               ConsistencyScheme::kPullTtr;
+        bound = n_;
+        break;
+      case kCapacityWindow:
+        scheduled = capacity_active_;
+        break;
+      default:
+        return false;
+    }
+    return scheduled && e.node < bound;
+  }
+
   // --- Small helpers -------------------------------------------------------
   std::uint32_t TotalNodes() const {
     return static_cast<std::uint32_t>(num_partners_ + num_clients_);
@@ -3789,27 +3903,13 @@ void Simulator::Impl::DiscRetireStateBefore(double cutoff_seconds) {
   }
 }
 
-/// Sharded-discipline checkpoint payload: canonical and shard/thread-
-/// count-invariant by construction. Per-lane tallies are folded,
-/// pending events from every queue are merged into (time, key) order —
+/// Sharded engine core of the checkpoint payload (SaveState writes the
+/// rest): canonical and shard/thread-count-invariant by construction.
+/// Pending events from every queue are merged into (time, key) order —
 /// the one order independent of the domain-to-shard map — and the hash
-/// containers are written sorted by key. The identical bytes are
-/// produced by every (S, T), and restore into any (S, T).
+/// containers are written sorted by key, so every (S, T) writes the
+/// identical bytes, which restore into any (S, T).
 void Simulator::Impl::DiscSaveState(CheckpointWriter& w) const {
-  for (const Lane& ln : lanes_) {
-    SPPNET_CHECK_MSG(ln.outbox.empty() && ln.ctl_outbox.empty(),
-                     "checkpoint cut inside a parallel phase");
-  }
-  const Lane agg = FoldedLanes();
-  w.PutDouble(agg.now);  // Canonical clock: the last executed event.
-  w.PutU64(cell_index_);
-  w.PutU64(ctl_ctr_);
-  w.PutU64Vector(ctr_dom_);
-  w.PutU32Vector(user_qid_ctr_);
-  for (const Rng& rng : proto_rngs_) PutRng(w, rng);
-  for (const Rng& rng : fault_rngs_) PutRng(w, rng);
-  PutRng(w, ctl_rng_);
-  PutRng(w, injector_.stream());
   std::vector<SimEvent> events = ctl_queue_->SnapshotEvents();
   for (const SimEventQueue& q : shard_queues_) {
     const std::vector<SimEvent> shard_events = q.SnapshotEvents();
@@ -3820,151 +3920,38 @@ void Simulator::Impl::DiscSaveState(CheckpointWriter& w) const {
               if (a.time != b.time) return a.time < b.time;
               return a.seq < b.seq;
             });
-  w.PutU64(events.size());
-  for (const SimEvent& e : events) {
-    w.PutDouble(e.time);
-    w.PutU64(e.seq);
-    w.PutU32(e.kind);
-    w.PutU32(e.node);
-    w.PutU64(e.a);
-    w.PutU64(e.b);
-    w.PutDouble(e.x);
-  }
-  // Load accounting and churn state (legacy shapes).
-  w.PutDoubleVector(in_bytes_);
-  w.PutDoubleVector(out_bytes_);
-  w.PutDoubleVector(units_);
-  w.PutU8Vector(partner_alive_);
-  w.PutU32Vector(alive_partners_);
-  w.PutDoubleVector(outage_start_);
-  w.PutU32Vector(rr_);
-  // Folded lane tallies.
-  w.PutU64(agg.queries_submitted);
-  w.PutU64(agg.responses_delivered);
-  w.PutU64(agg.duplicate_queries);
-  w.PutU64(agg.first_responses);
-  w.PutU64(agg.ring_queries_finished);
-  w.PutU64(agg.messages_dropped);
-  w.PutU64(agg.failover_episodes);
-  w.PutU64(agg.queries_failed);
-  w.PutU64(agg.events_scheduled);
-  w.PutU64(agg.events_dispatched);
-  w.PutDouble(agg.results_sum);
-  w.PutDouble(agg.hops_sum);
-  w.PutDouble(agg.rings_sum);
-  for (std::size_t t = 0; t < kNumMsgTypes; ++t) w.PutU64(agg.msg_sent[t]);
-  for (std::size_t t = 0; t < kNumMsgTypes; ++t) w.PutU64(agg.msg_recv[t]);
-  PutHistogram(w, agg.hop_histogram);
+  PutEvents(w, events);
+  w.PutU64(cell_index_);
+  w.PutU64(ctl_ctr_);
+  w.PutU64Vector(ctr_dom_);
+  w.PutU32Vector(user_qid_ctr_);
+  for (const Rng& rng : proto_rngs_) PutRng(w, rng);
+  for (const Rng& rng : fault_rngs_) PutRng(w, rng);
+  PutRng(w, ctl_rng_);
   w.PutDoubleVector(latency_by_dom_);
-  // Control-phase globals.
-  w.PutU64(partner_failures_);
-  w.PutU64(cluster_outages_);
-  w.PutDouble(disconnected_client_seconds_);
-  w.PutU64(partner_recoveries_);
-  w.PutU64(static_cast<std::uint64_t>(queue_depth_hwm_));
-  w.PutDouble(outage_seconds_);
-  w.PutU64(crashes_);
-  w.PutU64(request_timeouts_);
-  w.PutU64(retries_);
-  w.PutU64(client_rejoins_);
-  w.PutU64(queries_succeeded_);
-  PutHistogram(w, recovery_latency_hist_);
-  PutHistogram(w, orphaned_clients_hist_);
   // Lookahead audit (a resumed run keeps reporting the whole run; the
   // no-merge-yet sentinel is +inf, encoded as a flag).
   w.PutBool(std::isfinite(min_merge_margin_));
   w.PutDouble(std::isfinite(min_merge_margin_) ? min_merge_margin_ : 0.0);
   w.PutU64(lookahead_violations_);
-  // Fault membership (legacy shapes).
-  w.PutBool(fault_active_);
-  if (fault_active_) {
-    w.PutU32Vector(client_current_cluster_);
-    w.PutU64(cluster_members_.size());
-    for (const std::vector<std::uint32_t>& members : cluster_members_) {
-      w.PutU32Vector(members);
-    }
-    w.PutDoubleVector(orphaned_since_);
-  }
-  // Adaptation layer (legacy shapes).
-  w.PutU32(static_cast<std::uint32_t>(ttl_));
-  w.PutBool(adaptive_);
-  if (adaptive_) {
-    adaptive_ctrl_->SaveTo(w);
-    w.PutDoubleVector(adapt_in_bytes_);
-    w.PutDoubleVector(adapt_out_bytes_);
-    w.PutDoubleVector(adapt_units_);
-    w.PutDouble(window_start_);
-    w.PutU64(adapt_rounds_);
-    w.PutU64(adapt_splits_);
-    w.PutU64(adapt_coalesces_);
-    w.PutU64(adapt_edges_added_);
-    w.PutU64(adapt_ttl_decreases_);
-    w.PutU64(adapt_probes_sent_);
-    w.PutU64(adapt_reports_received_);
-    w.PutU64(adapt_client_moves_);
-    w.PutU64(adapt_demotions_);
-    w.PutBool(adapt_converged_);
-    w.PutU64(adapt_converged_round_);
-  }
-  // Discipline query state, each container sorted by key (FlatMap64
-  // iteration order is layout-dependent and must not leak into the
-  // payload). The duplicate-table count is written explicitly because
-  // adaptation grows the cluster-slot space past n.
+  // Per-domain query state. The duplicate-table count is written
+  // explicitly because adaptation grows the cluster-slot space past n.
   w.PutU64(disc_dup_.size());
   for (const FlatMap64<std::uint32_t>& dup : disc_dup_) {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> entries;
-    entries.reserve(dup.size());
-    dup.ForEach([&](std::uint64_t qid, const std::uint32_t& upstream) {
-      entries.emplace_back(qid, upstream);
-    });
-    std::sort(entries.begin(), entries.end());
-    w.PutU64(entries.size());
-    for (const auto& [qid, upstream] : entries) {
-      w.PutU64(qid);
-      w.PutU32(upstream);
-    }
+    PutEntries(w, dup, [&](std::uint32_t upstream) { w.PutU32(upstream); });
   }
   for (const FlatMap64<QueryState>& states : disc_state_) {
-    std::vector<std::pair<std::uint64_t, QueryState>> entries;
-    entries.reserve(states.size());
-    states.ForEach([&](std::uint64_t qid, const QueryState& qs) {
-      entries.emplace_back(qid, qs);
-    });
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.PutU64(entries.size());
-    for (const auto& [qid, qs] : entries) {
-      w.PutU64(qid);
-      w.PutU32(qs.user);
-      w.PutU32(qs.query_class);
-      w.PutU32(qs.ring_ttl);
-      w.PutDouble(qs.ring_results);
-      w.PutDouble(qs.submit_time);
-      w.PutBool(qs.first_response_seen);
-    }
+    PutEntries(w, states, [&](const QueryState& qs) { PutQueryState(w, qs); });
   }
   for (const FlatMap64<std::uint64_t>& roots : disc_root_) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-    entries.reserve(roots.size());
-    roots.ForEach([&](std::uint64_t qid, const std::uint64_t& root) {
-      entries.emplace_back(qid, root);
-    });
-    std::sort(entries.begin(), entries.end());
-    w.PutU64(entries.size());
-    for (const auto& [qid, root] : entries) {
-      w.PutU64(qid);
-      w.PutU64(root);
-    }
+    PutEntries(w, roots, [&](std::uint64_t root) { w.PutU64(root); });
   }
 }
 
 /// Counterpart of DiscSaveState on a freshly constructed sharded
-/// simulator — with ANY shard/thread plan: restored events re-enter the
-/// queue owning their domain under THIS simulator's shard map via
-/// SchedulePreKeyed (the payload carries content keys; there is no
-/// sequence floor to restore).
+/// simulator with any shard/thread plan. The pending events were read
+/// by LoadState, which validates and routes them once this returns.
 bool Simulator::Impl::DiscLoadState(CheckpointReader& r) {
-  const double clock = r.GetDouble();
   cell_index_ = r.GetU64();
   ctl_ctr_ = r.GetU64();
   ctr_dom_ = r.GetU64Vector();
@@ -3972,178 +3959,28 @@ bool Simulator::Impl::DiscLoadState(CheckpointReader& r) {
   for (Rng& rng : proto_rngs_) GetRng(r, rng);
   for (Rng& rng : fault_rngs_) GetRng(r, rng);
   GetRng(r, ctl_rng_);
-  GetRng(r, injector_.stream());
-  const std::uint64_t num_events = r.GetU64();
-  std::vector<SimEvent> events;
-  for (std::uint64_t i = 0; i < num_events && r.ok(); ++i) {
-    SimEvent e;
-    e.time = r.GetDouble();
-    e.seq = r.GetU64();
-    e.kind = r.GetU32();
-    e.node = r.GetU32();
-    e.a = r.GetU64();
-    e.b = r.GetU64();
-    e.x = r.GetDouble();
-    events.push_back(e);
-  }
-  if (!r.ok() || ctr_dom_.size() != n_ ||
-      user_qid_ctr_.size() != num_partners_ + num_clients_) {
-    return false;
-  }
-  // Validate before routing (DomainOfEvent indexes by node/cluster):
-  // a foreign payload must fail cleanly, not corrupt the queues.
-  for (const SimEvent& e : events) {
-    const bool cluster_kind = e.kind == kClusterQueryArrive ||
-                              e.kind == kClusterWalkLaunch ||
-                              e.kind == kClusterWalkArrive;
-    if (!std::isfinite(e.time) || e.kind > kRejoinRequest) return false;
-    if (cluster_kind ? (adaptive_ || e.node >= n_) : e.node >= TotalNodes()) {
-      return false;
-    }
-  }
-  for (const SimEvent& e : events) {
-    if (IsCtlKind(e.kind)) {
-      ctl_queue_->SchedulePreKeyed(e);
-    } else {
-      shard_queues_[DomainOfEvent(e) % num_shards_].SchedulePreKeyed(e);
-    }
-  }
-  in_bytes_ = r.GetDoubleVector();
-  out_bytes_ = r.GetDoubleVector();
-  units_ = r.GetDoubleVector();
-  partner_alive_ = r.GetU8Vector();
-  alive_partners_ = r.GetU32Vector();
-  outage_start_ = r.GetDoubleVector();
-  rr_ = r.GetU32Vector();
-  Lane& ln0 = lanes_[0];
-  ln0.queries_submitted = r.GetU64();
-  ln0.responses_delivered = r.GetU64();
-  ln0.duplicate_queries = r.GetU64();
-  ln0.first_responses = r.GetU64();
-  ln0.ring_queries_finished = r.GetU64();
-  ln0.messages_dropped = r.GetU64();
-  ln0.failover_episodes = r.GetU64();
-  ln0.queries_failed = r.GetU64();
-  ln0.events_scheduled = r.GetU64();
-  ln0.events_dispatched = r.GetU64();
-  ln0.results_sum = r.GetDouble();
-  ln0.hops_sum = r.GetDouble();
-  ln0.rings_sum = r.GetDouble();
-  for (std::size_t t = 0; t < kNumMsgTypes; ++t) ln0.msg_sent[t] = r.GetU64();
-  for (std::size_t t = 0; t < kNumMsgTypes; ++t) ln0.msg_recv[t] = r.GetU64();
-  if (!GetHistogram(r, ln0.hop_histogram)) return false;
   latency_by_dom_ = r.GetDoubleVector();
-  partner_failures_ = r.GetU64();
-  cluster_outages_ = r.GetU64();
-  disconnected_client_seconds_ = r.GetDouble();
-  partner_recoveries_ = r.GetU64();
-  queue_depth_hwm_ = static_cast<std::size_t>(r.GetU64());
-  outage_seconds_ = r.GetDouble();
-  crashes_ = r.GetU64();
-  request_timeouts_ = r.GetU64();
-  retries_ = r.GetU64();
-  client_rejoins_ = r.GetU64();
-  queries_succeeded_ = r.GetU64();
-  if (!GetHistogram(r, recovery_latency_hist_)) return false;
-  if (!GetHistogram(r, orphaned_clients_hist_)) return false;
   const bool margin_finite = r.GetBool();
   const double margin = r.GetDouble();
   min_merge_margin_ =
       margin_finite ? margin : std::numeric_limits<double>::infinity();
   lookahead_violations_ = r.GetU64();
-  const bool saved_fault_active = r.GetBool();
-  if (fault_active_) {
-    client_current_cluster_ = r.GetU32Vector();
-    const std::uint64_t num_lists = r.GetU64();
-    std::vector<std::vector<std::uint32_t>> members;
-    for (std::uint64_t i = 0; i < num_lists && r.ok(); ++i) {
-      members.push_back(r.GetU32Vector());
-    }
-    cluster_members_ = std::move(members);
-    orphaned_since_ = r.GetDoubleVector();
-  }
-  ttl_ = static_cast<int>(r.GetU32());
-  const bool saved_adaptive = r.GetBool();
-  if (adaptive_) {
-    if (!adaptive_ctrl_->LoadFrom(r)) return false;
-    adapt_in_bytes_ = r.GetDoubleVector();
-    adapt_out_bytes_ = r.GetDoubleVector();
-    adapt_units_ = r.GetDoubleVector();
-    window_start_ = r.GetDouble();
-    adapt_rounds_ = r.GetU64();
-    adapt_splits_ = r.GetU64();
-    adapt_coalesces_ = r.GetU64();
-    adapt_edges_added_ = r.GetU64();
-    adapt_ttl_decreases_ = r.GetU64();
-    adapt_probes_sent_ = r.GetU64();
-    adapt_reports_received_ = r.GetU64();
-    adapt_client_moves_ = r.GetU64();
-    adapt_demotions_ = r.GetU64();
-    adapt_converged_ = r.GetBool();
-    adapt_converged_round_ = r.GetU64();
-  }
   const std::uint64_t dup_count = r.GetU64();
-  if (!r.ok() || dup_count < n_ || dup_count > (std::uint64_t{1} << 24)) {
+  if (!r.ok() || dup_count < n_ || dup_count > SimState::kMaxClusters) {
     return false;
   }
   disc_dup_.clear();
   disc_dup_.resize(static_cast<std::size_t>(dup_count));
   for (FlatMap64<std::uint32_t>& dup : disc_dup_) {
-    const std::uint64_t count = r.GetU64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      const std::uint64_t qid = r.GetU64();
-      *dup.FindOrInsert(qid).first = r.GetU32();
-    }
+    GetEntries(r, dup, [&] { return r.GetU32(); });
   }
   for (FlatMap64<QueryState>& states : disc_state_) {
-    const std::uint64_t count = r.GetU64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      const std::uint64_t qid = r.GetU64();
-      QueryState qs;
-      qs.user = r.GetU32();
-      qs.query_class = r.GetU32();
-      qs.ring_ttl = r.GetU32();
-      qs.ring_results = r.GetDouble();
-      qs.submit_time = r.GetDouble();
-      qs.first_response_seen = r.GetBool();
-      *states.FindOrInsert(qid).first = qs;
-    }
+    GetEntries(r, states, [&] { return GetQueryState(r); });
   }
   for (FlatMap64<std::uint64_t>& roots : disc_root_) {
-    const std::uint64_t count = r.GetU64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      const std::uint64_t qid = r.GetU64();
-      *roots.FindOrInsert(qid).first = r.GetU64();
-    }
+    GetEntries(r, roots, [&] { return r.GetU64(); });
   }
-  // Every lane resumes from the canonical clock; the next drain stamps
-  // per-event times before any handler reads them.
-  for (Lane& ln : lanes_) {
-    ln.now = clock;
-    ln.measuring = clock >= options_.warmup_seconds;
-    ln.cur_domain = kShardCtlDomain;
-  }
-  const std::size_t total = num_partners_ + num_clients_;
-  bool consistent =
-      saved_fault_active == fault_active_ && saved_adaptive == adaptive_ &&
-      std::isfinite(clock) && clock >= 0.0 && ttl_ >= 0 &&
-      latency_by_dom_.size() == n_ && in_bytes_.size() == total &&
-      out_bytes_.size() == total && units_.size() == total &&
-      partner_alive_.size() == num_partners_ &&
-      alive_partners_.size() >= n_ && rr_.size() >= n_ &&
-      outage_start_.size() >= n_;
-  if (fault_active_) {
-    consistent = consistent &&
-                 client_current_cluster_.size() == num_clients_ &&
-                 orphaned_since_.size() == num_clients_ &&
-                 cluster_members_.size() >= n_;
-  }
-  if (adaptive_) {
-    consistent = consistent && adapt_in_bytes_.size() == total &&
-                 adapt_out_bytes_.size() == total &&
-                 adapt_units_.size() == total;
-  }
-  return r.ok() && consistent;
+  return r.ok();
 }
 
 void SimOptions::Validate() const {

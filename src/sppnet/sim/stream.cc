@@ -264,6 +264,37 @@ std::uint64_t StreamDriver::Fingerprint() const {
   mixd(sim_options_.adaptive.policy.max_proc_hz);
   mixd(sim_options_.adaptive.policy.low_utilization);
   mixd(sim_options_.adaptive.policy.suggested_outdegree);
+  // Routing plan.
+  const RoutingOptions& ro = sim_options_.routing;
+  mix(ro.enable ? 1 : 0);
+  mix(ro.digest_bits);
+  mix(ro.num_hashes);
+  mix(ro.radius);
+  mixd(ro.refresh_interval_seconds);
+  // Consistency plan.
+  const ConsistencyPlan& co = sim_options_.consistency;
+  mixd(co.change_rate_per_client);
+  mix(static_cast<std::uint64_t>(co.scheme));
+  mixd(co.ttr_seconds);
+  mix(co.replication.owner_replication ? 1 : 0);
+  mix(co.replication.path_replication ? 1 : 0);
+  mix(co.replication.replication_factor);
+  mix(co.replication.max_records_per_push);
+  // Capacity plan, including the class mixture the capacities are
+  // sampled from.
+  const CapacityPlan& ca = sim_options_.capacity;
+  mix(ca.enable ? 1 : 0);
+  mixd(ca.window_seconds);
+  mixd(ca.overload_utilization);
+  mix(ca.capacity_aware_election ? 1 : 0);
+  mix(ca.demote_overloaded ? 1 : 0);
+  mix(ca.distribution.classes().size());
+  for (const CapacityDistribution::Class& c : ca.distribution.classes()) {
+    mixd(c.fraction);
+    mixd(c.capacity.down_bps);
+    mixd(c.capacity.up_bps);
+    mixd(c.capacity.proc_hz);
+  }
   // Workload and instance shape (the engine and state backend are
   // deliberately NOT mixed: checkpoints are portable across them).
   mix(static_cast<std::uint64_t>(config_.ttl));

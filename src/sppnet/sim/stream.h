@@ -22,7 +22,7 @@ class MetricsRegistry;
 /// Envelope identity of a stream checkpoint ("SPCK"); rejected by
 /// CheckpointReader::Open on any mismatch.
 inline constexpr std::uint32_t kStreamCheckpointMagic = 0x4b435053u;
-inline constexpr std::uint16_t kStreamCheckpointVersion = 2;
+inline constexpr std::uint16_t kStreamCheckpointVersion = 3;
 
 /// Options of the streaming serving layer on top of the simulator.
 struct StreamOptions {
@@ -120,7 +120,7 @@ class StreamDriver {
 
   /// Serializes the driver + full simulator state into a checksummed
   /// "SPCK" envelope. Callable between windows of a started, unfinished
-  /// run; requires abstract-index mode.
+  /// run.
   std::vector<std::uint8_t> Checkpoint() const;
 
   /// Restores from a Checkpoint() buffer into this driver, replacing

@@ -15,6 +15,7 @@
 // clients waiting, retries backed off) — the states with the most
 // serialized machinery in flight.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -393,6 +394,17 @@ TEST(CheckpointCrossEngineTest, CheckpointsArePortableAcrossTheMatrix) {
   }
 }
 
+/// Recomputes the envelope's trailing FNV-1a checksum after a test
+/// edited the bytes before it, so only the edit itself is wrong.
+void Resign(std::vector<std::uint8_t>& bytes) {
+  const std::size_t body = bytes.size() - 8;
+  const std::uint64_t checksum =
+      Fnv1a64(std::span<const std::uint8_t>(bytes.data(), body));
+  for (int i = 0; i < 8; ++i) {
+    bytes[body + i] = static_cast<std::uint8_t>(checksum >> (8 * i));
+  }
+}
+
 TEST(CheckpointRejectionTest, ForeignFingerprintIsRejected) {
   const Scenario s = ChurnScenario();
   const ModelInputs inputs = ModelInputs::Default();
@@ -416,6 +428,21 @@ TEST(CheckpointRejectionTest, ForeignFingerprintIsRejected) {
                           ComboOptions(s, kMatrix[0]), other_stream);
   EXPECT_FALSE(wrong_grid.Restore(bytes));
 
+  // Every layer plan is part of the protocol identity: one differing
+  // field of the routing, consistency or capacity plan is refused.
+  SimOptions other_routing = ComboOptions(s, kMatrix[0]);
+  other_routing.routing.refresh_interval_seconds = 30.0;
+  SimOptions other_consistency = ComboOptions(s, kMatrix[0]);
+  other_consistency.consistency.ttr_seconds = 30.0;
+  SimOptions other_capacity = ComboOptions(s, kMatrix[0]);
+  other_capacity.capacity.window_seconds = 20.0;
+  for (const SimOptions& options :
+       {other_routing, other_consistency, other_capacity}) {
+    StreamDriver wrong_plan(instance, s.config, inputs, options, s.stream);
+    EXPECT_FALSE(wrong_plan.Restore(bytes));
+    EXPECT_EQ(wrong_plan.windows_emitted(), 0u);
+  }
+
   // Corruption is caught by the envelope before any field is decoded.
   std::vector<std::uint8_t> flipped = bytes;
   flipped[flipped.size() / 2] ^= 0x10;
@@ -426,9 +453,10 @@ TEST(CheckpointRejectionTest, ForeignFingerprintIsRejected) {
 }
 
 TEST(CheckpointRejectionTest, PreviousFormatVersionIsRejected) {
-  // Version 1 payloads carried per-cluster result caches and query
-  // strings that version 2 no longer reads. Relabel a current
-  // checkpoint as version 1 with a valid checksum, so the version field
+  // Version 2 payloads wrote a separate layout per engine (legacy
+  // fields interleaved, sharded core and shared sections mixed) that
+  // version 3's single codec no longer reads. Relabel a current
+  // checkpoint as version 2 with a valid checksum, so the version field
   // is the only thing wrong with it: the restore must still refuse it
   // rather than misread the payload.
   const Scenario s = ChurnScenario();
@@ -439,19 +467,14 @@ TEST(CheckpointRejectionTest, PreviousFormatVersionIsRejected) {
   saver.AdvanceWindow();
   std::vector<std::uint8_t> bytes = saver.Checkpoint();
   ASSERT_GE(bytes.size(), 6u + 8u + 8u);
-  ASSERT_EQ(kStreamCheckpointVersion, 2);
+  ASSERT_EQ(kStreamCheckpointVersion, 3);
   // Envelope: u32 magic | u16 version | u64 size | payload | u64 FNV-1a.
-  EXPECT_EQ(bytes[4], 2);
+  EXPECT_EQ(bytes[4], 3);
   EXPECT_EQ(bytes[5], 0);
-  bytes[4] = 1;
-  const std::size_t body = bytes.size() - 8;
-  const std::uint64_t checksum =
-      Fnv1a64(std::span<const std::uint8_t>(bytes.data(), body));
-  for (int i = 0; i < 8; ++i) {
-    bytes[body + i] = static_cast<std::uint8_t>(checksum >> (8 * i));
-  }
+  bytes[4] = 2;
+  Resign(bytes);
   // The relabelled envelope is well formed under its own version...
-  EXPECT_TRUE(CheckpointReader::Open(bytes, kStreamCheckpointMagic, 1)
+  EXPECT_TRUE(CheckpointReader::Open(bytes, kStreamCheckpointMagic, 2)
                   .has_value());
   // ...and refused by the current driver.
   StreamDriver restorer(instance, s.config, inputs,
@@ -460,11 +483,80 @@ TEST(CheckpointRejectionTest, PreviousFormatVersionIsRejected) {
   EXPECT_EQ(restorer.windows_emitted(), 0u);
 }
 
+// Version-3 offsets: the envelope header (u32 magic, u16 version, u64
+// payload size), the driver's "strm" section (tag and four u64), the
+// simulator's "simu" section (tag, u8 engine marker, f64 clock), then
+// the u64 pending-event count and the events, each f64 time | u64 seq |
+// u32 kind | u32 node | u64 a | u64 b | f64 x.
+constexpr std::size_t kEventCountOffset = 14 + 36 + 4 + 1 + 8;
+constexpr std::size_t kFirstEventOffset = kEventCountOffset + 8;
+
+std::uint64_t ReadU64(const std::vector<std::uint8_t>& bytes,
+                      std::size_t offset) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(bytes[offset + i]) << (8 * i);
+  }
+  return v;
+}
+
+TEST(CheckpointRejectionTest, PendingEventsFailingTheValidatorAreRejected) {
+  // Both engines run every restored event through one rule before it
+  // reaches a queue. Patch one field of the first pending event of a
+  // real checkpoint and re-sign the envelope: each patch alone must make
+  // both engines refuse the restore.
+  const Scenario s = ChurnScenario();
+  const ModelInputs inputs = ModelInputs::Default();
+  const NetworkInstance instance = MakeInstance(s, inputs);
+  const struct {
+    const char* what;
+    std::size_t field;  // Byte offset within the event.
+    std::uint32_t value;
+  } patches[] = {
+      {"node at TotalNodes()", 20,
+       static_cast<std::uint32_t>(instance.TotalPartners() +
+                                  instance.TotalClients())},
+      // Event kinds are payload values; simulator.cc only appends kinds.
+      {"kDigestRefresh with routing off", 16, 24},
+      {"kAdaptRound without an adaptive plan", 16, 17},
+  };
+  for (const SimOptions& options :
+       {ComboOptions(s, kMatrix[0]), ShardedOptions(s, 2, 2)}) {
+    SCOPED_TRACE(options.shards.enabled() ? "sharded" : "legacy");
+    ASSERT_FALSE(options.routing.enabled());
+    ASSERT_FALSE(options.adaptive.enabled());
+    StreamDriver saver(instance, s.config, inputs, options, s.stream);
+    saver.AdvanceWindow();
+    const std::vector<std::uint8_t> bytes = saver.Checkpoint();
+    // The offsets above still describe the payload, and the unpatched
+    // checkpoint restores, so each refusal below is the patch's doing.
+    ASSERT_GT(ReadU64(bytes, kEventCountOffset), 0u);
+    const double first_time =
+        std::bit_cast<double>(ReadU64(bytes, kFirstEventOffset));
+    ASSERT_GE(first_time, saver.Now());
+    ASSERT_LE(first_time, saver.Now() + 10 * s.stream.window_seconds);
+    StreamDriver control(instance, s.config, inputs, options, s.stream);
+    ASSERT_TRUE(control.Restore(bytes));
+    for (const auto& patch : patches) {
+      SCOPED_TRACE(patch.what);
+      std::vector<std::uint8_t> patched = bytes;
+      for (int i = 0; i < 4; ++i) {
+        patched[kFirstEventOffset + patch.field + i] =
+            static_cast<std::uint8_t>(patch.value >> (8 * i));
+      }
+      Resign(patched);
+      StreamDriver restorer(instance, s.config, inputs, options, s.stream);
+      EXPECT_FALSE(restorer.Restore(patched));
+      EXPECT_EQ(restorer.windows_emitted(), 0u);
+    }
+  }
+}
+
 // ---- Sharded-discipline checkpoints --------------------------------
 //
-// DiscSaveState writes a canonical payload — folded per-shard tallies,
-// pending events merged in (time, seq) order, per-domain RNG streams
-// and containers sorted by key — so the serialized bytes depend only
+// The sharded payload is canonical — folded per-shard tallies, pending
+// events merged in (time, seq) order, per-domain RNG streams and
+// containers sorted by key — so the serialized bytes depend only
 // on the simulated history, never on the (S, T) configuration that
 // produced them. The tests below hold that to the strongest form:
 // byte-identical checkpoints across writers, and restores portable
@@ -531,7 +623,7 @@ TEST(ShardedCheckpointTest, CheckpointBytesAreWriterInvariant) {
   EXPECT_EQ(reference[1], 'P');
   EXPECT_EQ(reference[2], 'C');
   EXPECT_EQ(reference[3], 'K');
-  EXPECT_EQ(reference[4], 2);
+  EXPECT_EQ(reference[4], 3);
   EXPECT_EQ(reference[5], 0);
   const ShardPair writers[] = {{2, 1}, {3, 2}, {8, 8}};
   for (const ShardPair& w : writers) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -326,31 +327,101 @@ TEST(SimStateParityTest, LoadRestoresUnderEitherBackend) {
 }
 
 TEST(SimStateTest, LoadRejectsMalformedPayloads) {
-  const auto load = [](const std::vector<std::uint8_t>& bytes) {
-    std::optional<CheckpointReader> r =
-        CheckpointReader::Open(bytes, 0x74736554u, 1);
-    EXPECT_TRUE(r.has_value());
-    SimState state(SimStateBackend::kDense, 4);
-    return state.LoadFrom(*r);
+  constexpr std::uint32_t kMagic = 0x74736554u;
+  // A "stat" section header: retirement floor, duplicate tally, clusters.
+  const auto header = [](CheckpointWriter& w, std::uint64_t floor,
+                         std::uint64_t clusters) {
+    w.BeginSection(0x74617473u);  // "stat"
+    w.PutU64(floor);
+    w.PutU64(0);
+    w.PutU64(clusters);
   };
+  const auto put_state = [](CheckpointWriter& w, std::uint64_t qid) {
+    w.PutU64(qid);
+    PutQueryState(w, QueryState{});
+  };
+  std::vector<std::pair<const char*, std::vector<std::uint8_t>>> payloads;
   {
-    // A section that is not the state section.
-    CheckpointWriter w(0x74736554u, 1);
+    CheckpointWriter w(kMagic, 1);
     w.BeginSection(0x61616161u);
     w.PutU64(0);
-    EXPECT_FALSE(load(w.Finish()));
+    payloads.emplace_back("a section that is not the state section",
+                          w.Finish());
   }
   {
-    // The state tag and header, then a duplicate-table count promising
-    // more entries than the payload holds.
-    CheckpointWriter w(0x74736554u, 1);
-    w.BeginSection(0x74617473u);  // "stat"
-    w.PutU64(0);                  // Retirement floor.
-    w.PutU64(3);                  // Duplicate tally.
-    w.PutU64(4);                  // Clusters.
-    w.PutU64(1000);               // Duplicate-table entries...
-    w.PutU64(1);                  // ...of which only one qid follows.
-    EXPECT_FALSE(load(w.Finish()));
+    CheckpointWriter w(kMagic, 1);
+    header(w, 0, 4);
+    w.PutU64(1000);  // Duplicate-table entries...
+    w.PutU64(1);     // ...of which only one qid follows.
+    payloads.emplace_back("a count promising more entries than follow",
+                          w.Finish());
+  }
+  {
+    CheckpointWriter w(kMagic, 1);
+    header(w, 0, 4);
+    w.PutU64(1);  // One duplicate-table entry, for cluster 4 of 4.
+    w.PutU64(7);
+    w.PutU64(4);
+    w.PutU32(0);
+    w.PutU64(0);
+    w.PutU64(0);
+    payloads.emplace_back("a cluster id at the saved cluster count",
+                          w.Finish());
+  }
+  {
+    CheckpointWriter w(kMagic, 1);
+    header(w, 10, 4);
+    w.PutU64(0);
+    w.PutU64(1);  // One query state, for qid 5 below the floor of 10.
+    put_state(w, 5);
+    w.PutU64(0);
+    payloads.emplace_back("a qid below the saved retirement floor",
+                          w.Finish());
+  }
+  {
+    CheckpointWriter w(kMagic, 1);
+    header(w, 0, 4);
+    w.PutU64(0);
+    w.PutU64(2);  // Two query states for the same qid.
+    put_state(w, 3);
+    put_state(w, 3);
+    w.PutU64(0);
+    payloads.emplace_back("a state qid written twice", w.Finish());
+  }
+  {
+    CheckpointWriter w(kMagic, 1);
+    header(w, 0, std::uint64_t{1} << 40);
+    w.PutU64(0);
+    w.PutU64(0);
+    w.PutU64(0);
+    payloads.emplace_back("an absurd cluster count", w.Finish());
+  }
+  for (const SimStateBackend backend :
+       {SimStateBackend::kDense, SimStateBackend::kMapReference}) {
+    for (const auto& [what, bytes] : payloads) {
+      SCOPED_TRACE(what);
+      std::optional<CheckpointReader> r =
+          CheckpointReader::Open(bytes, kMagic, 1);
+      ASSERT_TRUE(r.has_value());
+      SimState state(backend, 4);
+      EXPECT_FALSE(state.LoadFrom(*r));
+    }
+    // The same framing with in-range ids loads: the payloads above fail
+    // on their one bad field, not on their shape.
+    CheckpointWriter w(kMagic, 1);
+    header(w, 2, 4);
+    w.PutU64(1);
+    w.PutU64(7);
+    w.PutU64(3);
+    w.PutU32(0);
+    w.PutU64(1);
+    put_state(w, 3);
+    w.PutU64(0);
+    const std::vector<std::uint8_t> bytes = w.Finish();
+    std::optional<CheckpointReader> r = CheckpointReader::Open(bytes, kMagic, 1);
+    ASSERT_TRUE(r.has_value());
+    SimState state(backend, 4);
+    EXPECT_TRUE(state.LoadFrom(*r));
   }
 }
 
