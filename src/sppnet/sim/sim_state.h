@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sppnet/common/check.h"
@@ -43,11 +44,10 @@ QueryState GetQueryState(CheckpointReader& r);
 
 /// Open-addressing uint64 -> V table: power-of-two capacity, linear
 /// probing, generation-stamped occupancy (Clear() is O(1) — bump the
-/// generation). Point lookups only; nothing is ever erased, and the
-/// only iteration (ForEach) serves the checkpoint path, which sorts
-/// what it collects — exactly the duplicate tables' access pattern,
-/// and what makes the layout safely deterministic: probe order can
-/// never leak into results.
+/// generation). Point lookups and point erases only; the iteration
+/// (ForEach) serves the checkpoint and retirement paths, whose results
+/// never depend on the visit order — which makes the layout safely
+/// deterministic: probe order can never leak into results.
 template <typename V>
 class FlatMap64 {
  public:
@@ -82,6 +82,34 @@ class FlatMap64 {
     return {&slots_[i].value, true};
   }
 
+  /// Removes `key` and releases its value; false when absent.
+  /// Backward-shift deletion: every later key of the probe run that may
+  /// move into the hole does, so lookups need no tombstones.
+  bool Erase(std::uint64_t key) {
+    if (slots_.empty()) return false;
+    std::size_t i = Mix(key) & mask_;
+    while (slots_[i].stamp == generation_ && slots_[i].key != key) {
+      i = (i + 1) & mask_;
+    }
+    if (slots_[i].stamp != generation_) return false;
+    std::size_t hole = i;
+    for (std::size_t j = (i + 1) & mask_; slots_[j].stamp == generation_;
+         j = (j + 1) & mask_) {
+      // The key at j may fill the hole unless its home slot lies
+      // cyclically in (hole, j].
+      const std::size_t home = Mix(slots_[j].key) & mask_;
+      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole].key = slots_[j].key;
+        slots_[hole].value = std::move(slots_[j].value);
+        hole = j;
+      }
+    }
+    slots_[hole].stamp = generation_ - 1;
+    slots_[hole].value = V{};
+    --size_;
+    return true;
+  }
+
   /// Drops every entry without touching the slot storage.
   void Clear() {
     ++generation_;
@@ -89,8 +117,9 @@ class FlatMap64 {
   }
 
   /// Invokes fn(key, value) for every live entry, in unspecified slot
-  /// order. Checkpoint-path only: callers sort what they collect, so
-  /// the probe layout still cannot leak into results.
+  /// order. Off the hot path only, and callers make their result
+  /// independent of the order (the checkpoint path sorts what it
+  /// collects), so the probe layout still cannot leak into results.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Slot& slot : slots_) {
@@ -147,11 +176,22 @@ class FlatMap64 {
   std::size_t mask_ = 0;
 };
 
-/// All per-query simulator state behind one facade: the duplicate
-/// tables (per-cluster qid -> upstream), the per-root QueryState and
-/// the retry-qid -> root mapping. Both backends implement identical
+/// All per-query simulator state behind one facade: the qid counter,
+/// the duplicate tables (per-cluster qid -> upstream), the per-root
+/// QueryState, the retry-qid -> root mapping and the in-flight event
+/// counts that retire all of it. Both backends implement identical
 /// semantics; the simulator never observes which one it is running on
 /// (see DESIGN.md §9 for the determinism argument).
+///
+/// Exact retirement (DESIGN.md §11): the simulator counts, per qid, the
+/// pending events that carry it (AddRef on schedule, Release on
+/// dispatch). A retry or ring qid bound to a root by SetRoot holds one
+/// more count on that root. When a qid's count is zero nothing can
+/// reach its state again, so RetireIfIdle drops its duplicate table,
+/// QueryState and binding at once — a bound qid then releases its hold
+/// on the root, which retires in turn when that was its last. Retired
+/// qids become unaddressable: a write to one aborts whether it lies
+/// below the compacted floor or above it.
 class SimState {
  public:
   /// Largest cluster-slot space a checkpoint may declare. Cluster ids
@@ -159,6 +199,12 @@ class SimState {
   /// reference backend allocates one table per slot, so a larger count
   /// is a malformed payload, not a network.
   static constexpr std::size_t kMaxClusters = std::size_t{1} << 24;
+  /// Widest [floor, next qid) window a checkpoint may declare. The dense
+  /// backend indexes slots across that window, and exact retirement
+  /// keeps a run's window at the span of its longest-lived query (a few
+  /// thousand qids on the benchmark workloads), so a wider one is a
+  /// malformed payload.
+  static constexpr std::uint64_t kMaxQidWindow = std::uint64_t{1} << 22;
 
   SimState(SimStateBackend backend, std::size_t num_clusters);
 
@@ -168,6 +214,12 @@ class SimState {
   /// super-peer; existing entries are untouched, so growth never
   /// perturbs prior state.
   void EnsureClusters(std::size_t num_clusters);
+
+  // --- Query ids ------------------------------------------------------------
+  /// Hands out the next sequential qid.
+  std::uint64_t Mint() { return next_qid_++; }
+  /// The qid Mint() hands out next.
+  std::uint64_t next_qid() const { return next_qid_; }
 
   // --- Duplicate tables (per-cluster qid -> upstream) ---------------------
   /// Records that `cluster` saw `qid` arriving from `upstream`; returns
@@ -182,35 +234,65 @@ class SimState {
   // --- Per-root query state ----------------------------------------------
   /// Creates (value-initialized) state for a fresh root qid.
   QueryState& Claim(std::uint64_t qid);
-  /// Null when qid was never claimed.
+  /// Null when qid was never claimed or has retired.
   QueryState* Find(std::uint64_t qid);
 
   // --- Retry-qid -> root mapping ------------------------------------------
+  /// Binds `qid` to `root`; the first binding wins. A binding with
+  /// qid != root holds one in-flight count on `root` until qid retires.
   void SetRoot(std::uint64_t qid, std::uint64_t root);
   /// Root of `qid`; identity when unmapped.
   std::uint64_t RootOf(std::uint64_t qid) const;
 
-  // --- Retirement (streaming mode) -----------------------------------------
-  /// Drops every entry (duplicate tables, query states, root mappings)
-  /// for qids below `floor` and makes those qids unaddressable,
-  /// bounding resident state on an unbounded run. The caller guarantees
-  /// no in-flight event references a retired qid (the streaming layer's
-  /// retention horizon, DESIGN.md §11); the floor is monotone — a lower
-  /// `floor` is a no-op.
+  // --- In-flight counts and exact retirement --------------------------------
+  /// One more pending event carries `qid`. Inline below: once per
+  /// qid-carrying schedule.
+  void AddRef(std::uint64_t qid);
+  /// A pending event carrying `qid` was dispatched: drops its count,
+  /// then RetireIfIdle(qid, now). Inline below: once per qid-carrying
+  /// dispatch.
+  void Release(std::uint64_t qid, double now);
+  /// Retires `qid` when its count is zero (no-op otherwise, and for a
+  /// qid already retired). A claimed root records its submit-to-`now`
+  /// span in longest_lifetime_seconds().
+  void RetireIfIdle(std::uint64_t qid, double now);
+  /// RetireIfIdle for every qid in [retire_floor(), next_qid()): the
+  /// restore path's final step, once the pending events have re-taken
+  /// their counts.
+  void RetireIdle(double now);
+  /// Claimed roots not yet retired.
+  std::uint64_t live_roots() const { return live_roots_; }
+  /// Longest submit-to-retire span of any root retired by this state,
+  /// in simulated seconds (0 before the first).
+  double longest_lifetime_seconds() const { return longest_lifetime_; }
+  /// (qid, count) of every qid whose count is nonzero, ascending by qid:
+  /// the events carrying it, plus one per bound qid still live for a
+  /// root. Diagnostics and tests; not on any hot path.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> InFlightCounts() const;
+
+  /// Drops every entry (duplicate tables, query states, root mappings,
+  /// counts) for qids below `floor` and makes those qids unaddressable.
+  /// Exact retirement advances the floor by itself over the retired
+  /// prefix; an explicit call is for callers that know a prefix is dead.
+  /// The floor is monotone — a lower `floor` is a no-op.
   void RetireBelow(std::uint64_t floor);
-  std::uint64_t retire_floor() const { return qid_base_; }
+  /// First qid not known retired: the compacted floor plus the retired
+  /// prefix not yet compacted. Identical across backends.
+  std::uint64_t retire_floor() const { return qid_base_ + retired_prefix_; }
 
   // --- Checkpoint (streaming mode) ------------------------------------------
   /// Serializes the logical contents in a backend-portable, canonically
   /// sorted form: both backends holding the same entries produce the
   /// same bytes, so a checkpoint written under one backend restores
-  /// under the other.
+  /// under the other. The in-flight counts are not written: the
+  /// restoring simulator rebuilds them from its pending events.
   void SaveTo(CheckpointWriter& w) const;
   /// Populates this freshly constructed, still-empty state (checked)
   /// from a checkpoint. Returns false when the payload is malformed: a
-  /// cluster count above kMaxClusters, a cluster id outside the saved
-  /// count, a qid below the saved retirement floor, or a qid claimed
-  /// twice.
+  /// cluster count above kMaxClusters, a qid window wider than
+  /// kMaxQidWindow, a cluster id outside the saved count, a qid below
+  /// the saved retirement floor or at or above the saved next qid, or a
+  /// qid claimed twice.
   bool LoadFrom(CheckpointReader& r);
 
   // --- Introspection (sim.state.* gauges) ----------------------------------
@@ -224,6 +306,25 @@ class SimState {
 
  private:
   static constexpr std::uint64_t kNoRoot = ~std::uint64_t{0};
+
+  /// Per-qid bookkeeping of the dense backend (one slot per qid).
+  struct QidTrack {
+    std::uint64_t root = kNoRoot;  ///< SetRoot binding; kNoRoot = unset.
+    std::uint32_t inflight = 0;    ///< See InFlightCounts().
+    std::uint8_t status = 0;       ///< kFresh, kClaimed or kRetired.
+  };
+  static constexpr std::uint8_t kFresh = 0;
+  static constexpr std::uint8_t kClaimed = 1;
+  static constexpr std::uint8_t kRetired = 2;
+
+  /// Per-qid bookkeeping of the reference backend.
+  struct MapTrack {
+    std::uint32_t inflight = 0;
+    bool retired = false;
+    /// Clusters whose table holds the qid (the map tables are keyed by
+    /// cluster, so retirement needs the list).
+    std::vector<std::uint32_t> clusters;
+  };
 
   /// Amortized growth of a qid-indexed slot array to cover `qid`.
   template <typename T>
@@ -240,13 +341,26 @@ class SimState {
   std::size_t SlotOf(std::uint64_t qid) const {
     return static_cast<std::size_t>(qid - qid_base_);
   }
+  /// Creates (or returns) the dense track of a qid at or above the floor.
+  QidTrack& DenseTrack(std::uint64_t qid) {
+    EnsureSlot(track_, SlotOf(qid), QidTrack{});
+    return track_[SlotOf(qid)];
+  }
+  /// Retires `qid` unconditionally; returns its root binding (kNoRoot
+  /// when unbound).
+  std::uint64_t RetireNow(std::uint64_t qid, double now);
+  /// Advances the floor over the retired prefix of the qid window.
+  void AdvanceFloor();
 
   const SimStateBackend backend_;
   /// Cluster ids below this are addressable (grown by EnsureClusters).
   std::size_t num_clusters_;
-  /// Qids below this are retired (RetireBelow); 0 in batch runs.
+  /// Qids below this are retired (RetireBelow / AdvanceFloor).
   std::uint64_t qid_base_ = 0;
+  std::uint64_t next_qid_ = 0;
   std::uint64_t duplicate_entries_ = 0;
+  std::uint64_t live_roots_ = 0;
+  double longest_lifetime_ = 0.0;
 
   // --- Dense backend -------------------------------------------------------
   /// Duplicate tables indexed by qid, keyed by cluster — the inverse of
@@ -254,24 +368,31 @@ class SimState {
   /// so the hot table is small and cache-resident; per-cluster tables
   /// would spread the same probes over the whole table population.
   std::vector<FlatMap64<std::uint32_t>> dense_table_;
-  std::vector<QueryState> state_slots_;                 // Indexed by qid.
-  std::vector<std::uint8_t> state_live_;
-  std::vector<std::uint64_t> root_slots_;               // kNoRoot = unset.
+  /// Indexed by qid; grown only by Claim, so a QueryState reference
+  /// survives every other call.
+  std::vector<QueryState> state_slots_;
+  std::vector<QidTrack> track_;  // Indexed by qid.
+  /// Leading retired slots of track_ (the next compaction's width);
+  /// always 0 under the reference backend, whose floor advances eagerly.
+  std::size_t retired_prefix_ = 0;
 
   // --- Reference backend ---------------------------------------------------
   std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> map_table_;
   std::unordered_map<std::uint64_t, QueryState> map_state_;
   std::unordered_map<std::uint64_t, std::uint64_t> map_root_;
+  std::unordered_map<std::uint64_t, MapTrack> map_track_;
 };
 
 inline bool SimState::MarkSeen(std::size_t cluster, std::uint64_t qid,
                                std::uint32_t upstream) {
-  // A visit for a retired qid means the retention horizon was violated
-  // (the map backend would silently re-insert and diverge from dense);
-  // one predictable compare buys a loud failure instead.
+  // A visit for a retired qid means a count was lost (the map backend
+  // would silently re-insert and diverge from dense); one predictable
+  // compare buys a loud failure instead.
   SPPNET_CHECK(qid >= qid_base_);
   bool fresh;
   if (backend_ == SimStateBackend::kDense) {
+    SPPNET_CHECK_MSG(DenseTrack(qid).status != kRetired,
+                     "duplicate-table visit to a retired qid");
     // Keyed per qid (not per cluster): a flood's visits all land in one
     // small table that stays cache-resident while the flood is live,
     // instead of scattering point probes across every cluster's table.
@@ -281,7 +402,10 @@ inline bool SimState::MarkSeen(std::size_t cluster, std::uint64_t qid,
     if (inserted) *slot = upstream;
     fresh = inserted;
   } else {
+    MapTrack& track = map_track_[qid];
+    SPPNET_CHECK_MSG(!track.retired, "duplicate-table visit to a retired qid");
     fresh = map_table_[cluster].try_emplace(qid, upstream).second;
+    if (fresh) track.clusters.push_back(static_cast<std::uint32_t>(cluster));
   }
   if (fresh) ++duplicate_entries_;
   return fresh;
@@ -296,6 +420,32 @@ inline const std::uint32_t* SimState::Upstream(std::size_t cluster,
   if (qid < qid_base_) return nullptr;
   const auto it = map_table_[cluster].find(qid);
   return it == map_table_[cluster].end() ? nullptr : &it->second;
+}
+
+inline void SimState::AddRef(std::uint64_t qid) {
+  SPPNET_CHECK(qid >= qid_base_);
+  if (backend_ == SimStateBackend::kDense) {
+    QidTrack& track = DenseTrack(qid);
+    SPPNET_CHECK_MSG(track.status != kRetired, "event for a retired qid");
+    ++track.inflight;
+    return;
+  }
+  MapTrack& track = map_track_[qid];
+  SPPNET_CHECK_MSG(!track.retired, "event for a retired qid");
+  ++track.inflight;
+}
+
+inline void SimState::Release(std::uint64_t qid, double now) {
+  SPPNET_CHECK(qid >= qid_base_);
+  std::uint32_t* inflight;
+  if (backend_ == SimStateBackend::kDense) {
+    SPPNET_CHECK(SlotOf(qid) < track_.size());
+    inflight = &track_[SlotOf(qid)].inflight;
+  } else {
+    inflight = &map_track_[qid].inflight;
+  }
+  SPPNET_CHECK(*inflight > 0);
+  if (--*inflight == 0) RetireIfIdle(qid, now);
 }
 
 }  // namespace sppnet

@@ -341,6 +341,7 @@ class Simulator::Impl {
       num_threads_ = options_.shards.num_threads;
       cell_width_ = options_.hop_latency_seconds;
       lanes_ = std::vector<Lane>(num_shards_);
+      retire_logs_.resize(num_shards_);
       shard_queues_.reserve(num_shards_);
       for (std::size_t s = 0; s < num_shards_; ++s) {
         shard_queues_.emplace_back(options_.engine);
@@ -551,6 +552,15 @@ class Simulator::Impl {
         lane().now = e.time;
         lane().measuring = lane().now >= options_.warmup_seconds;
         Dispatch(e);
+        // Exact retirement, right after the dispatch: the event's qid
+        // gives back its count, and a qid minted by this dispatch that
+        // nothing carries (a submission that reached no one) retires
+        // now rather than never.
+        if (CarriesQid(e.kind)) state_.Release(e.a, e.time);
+        for (const std::uint64_t qid : minted_) {
+          state_.RetireIfIdle(qid, e.time);
+        }
+        minted_.clear();
       }
     }
     run_seconds_ += std::chrono::duration<double>(
@@ -623,28 +633,29 @@ class Simulator::Impl {
     PublishMetrics(m);
   }
 
-  /// Retires per-query bookkeeping for roots submitted before
-  /// `cutoff_seconds` of sim time: advances the retirement floor past
-  /// every root claimed strictly earlier, then drops the underlying
-  /// storage prefix (SimState::RetireBelow). Root qids are claimed in
-  /// submission order, so the first live root at or past the cutoff
-  /// bounds the scan; qids never claimed (retries, ring waves) retire
-  /// with their neighborhood. The caller must pick a cutoff at least
-  /// one in-flight horizon behind the clock — touching a retired qid
-  /// aborts through the SimState floor checks rather than corrupting
-  /// the run (stream.cc derives a conservative horizon from the
-  /// latency, retry and ring-wave bounds).
-  void RetireStateBefore(double cutoff_seconds) {
-    if (disc_) {
-      DiscRetireStateBefore(cutoff_seconds);
-      return;
+  std::uint64_t live_query_roots() const {
+    if (!disc_) return state_.live_roots();
+    std::uint64_t live = 0;
+    for (const FlatMap64<QueryState>& states : disc_state_) {
+      live += states.size();
     }
-    while (retire_scan_qid_ < next_qid_) {
-      const QueryState* s = state_.Find(retire_scan_qid_);
-      if (s != nullptr && s->submit_time >= cutoff_seconds) break;
-      ++retire_scan_qid_;
-    }
-    state_.RetireBelow(retire_scan_qid_);
+    return live;
+  }
+
+  double longest_query_lifetime_seconds() const {
+    return disc_ ? disc_longest_lifetime_ : state_.longest_lifetime_seconds();
+  }
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> InFlightCounts() const {
+    if (!disc_) return state_.InFlightCounts();
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
+    disc_live_.ForEach([&](std::uint64_t qid, const std::int64_t& inflight) {
+      if (inflight != 0) {
+        counts.emplace_back(qid, static_cast<std::uint64_t>(inflight));
+      }
+    });
+    std::sort(counts.begin(), counts.end());
+    return counts;
   }
 
   /// Serializes the complete mutable simulator state (DESIGN.md §11) as
@@ -680,8 +691,6 @@ class Simulator::Impl {
       PutEvents(w, queue_.SnapshotEvents());
       w.PutU64(queue_.next_seq());
       PutRng(w, rng_);
-      w.PutU64(next_qid_);
-      w.PutU64(retire_scan_qid_);
       w.PutDouble(latency_sum_);
       state_.SaveTo(w);
     }
@@ -834,8 +843,6 @@ class Simulator::Impl {
     } else {
       next_seq = r.GetU64();
       GetRng(r, rng_);
-      next_qid_ = r.GetU64();
-      retire_scan_qid_ = r.GetU64();
       latency_sum_ = r.GetDouble();
       if (!state_.LoadFrom(r)) return false;
     }
@@ -859,6 +866,7 @@ class Simulator::Impl {
     } else {
       queue_.RestorePending(events, next_seq);
     }
+    RebuildInFlightCounts(events, clock);
     in_bytes_ = r.GetDoubleVector();
     out_bytes_ = r.GetDoubleVector();
     units_ = r.GetDoubleVector();
@@ -1020,12 +1028,13 @@ class Simulator::Impl {
  private:
   /// The restored-event rule shared by both engines: a finite,
   /// non-negative time; a kind some active layer schedules; an address
-  /// in range for that kind (a partner slot, a cluster or a node); and,
-  /// for the legacy engine, a sequence number below the restored
-  /// counter.
+  /// in range for that kind (a partner slot, a cluster or a node); a
+  /// carried qid that the restored state could have minted; and, for
+  /// the legacy engine, a sequence number below the restored counter.
   bool RestoredEventValid(const SimEvent& e, std::uint64_t next_seq) const {
     if (!std::isfinite(e.time) || e.time < 0.0) return false;
     if (!disc_ && e.seq >= next_seq) return false;
+    if (CarriesQid(e.kind) && !RestoredQidValid(e.a)) return false;
     bool scheduled = true;
     std::size_t bound = TotalNodes();
     switch (e.kind) {
@@ -1172,9 +1181,11 @@ class Simulator::Impl {
     e.a = a;
     e.b = b;
     if (disc_) {
+      if (CarriesQid(kind)) *retire_log().qid_delta.FindOrInsert(a).first += 1;
       DiscSchedule(e);
       return;
     }
+    if (CarriesQid(kind)) state_.AddRef(a);
     queue_.Schedule(e);
     ++lane().events_scheduled;
     if (queue_.size() > queue_depth_hwm_) queue_depth_hwm_ = queue_.size();
@@ -1338,24 +1349,69 @@ class Simulator::Impl {
   // only by the shard owning the domain (or by the single-threaded
   // control phase).
 
+  /// The event kinds that carry a qid (always in SimEvent::a): the
+  /// in-flight counts behind exact retirement (DESIGN.md §11) go up
+  /// when one is scheduled and down when it is dispatched.
+  static bool CarriesQid(std::uint32_t kind) {
+    switch (kind) {
+      case kQueryArrive:
+      case kResponseArrive:
+      case kWalkArrive:
+      case kRingCheck:
+      case kRequestCheck:
+      case kRetrySubmit:
+      case kClusterQueryArrive:
+      case kClusterWalkLaunch:
+      case kClusterWalkArrive:
+        return true;
+      default:
+        return false;
+    }
+  }
+
   /// Mints a query id: globally sequential in legacy runs, per-user
   /// (user << 32 | counter) under the discipline so every shard mints
-  /// ids without coordination and ids are shard-count-invariant.
+  /// ids without coordination and ids are shard-count-invariant. The
+  /// new id is retirement-checked once the minting dispatch ends
+  /// (legacy) or at the next fold (sharded), so a submission that
+  /// reached no one leaves nothing behind.
   std::uint64_t MakeQid(std::uint32_t user) {
-    if (!disc_) return next_qid_++;
-    return (static_cast<std::uint64_t>(user) << 32) |
-           static_cast<std::uint64_t>(user_qid_ctr_[user]++);
+    if (!disc_) {
+      const std::uint64_t qid = state_.Mint();
+      minted_.push_back(qid);
+      return qid;
+    }
+    const std::uint64_t qid =
+        (static_cast<std::uint64_t>(user) << 32) |
+        static_cast<std::uint64_t>(user_qid_ctr_[user]++);
+    retire_log().qid_delta.FindOrInsert(qid);
+    return qid;
   }
   /// Home domain of a disc qid's owner (disc qids embed the user).
   std::uint32_t DomainOfQid(std::uint64_t qid) const {
     return HomeDomainOf(static_cast<std::uint32_t>(qid >> 32));
+  }
+  /// True when the restored state could have minted `qid`: inside the
+  /// legacy state's [floor, next qid) window, or below its owner's
+  /// restored per-user counter under the discipline.
+  bool RestoredQidValid(std::uint64_t qid) const {
+    if (!disc_) {
+      return qid >= state_.retire_floor() && qid < state_.next_qid();
+    }
+    const std::uint64_t user = qid >> 32;
+    return user_qid_ctr_.size() == TotalNodes() && user < TotalNodes() &&
+           (qid & 0xffffffffu) < user_qid_ctr_[user];
   }
 
   bool MarkSeenW(std::size_t cluster, std::uint64_t qid,
                  std::uint32_t upstream) {
     if (!disc_) return state_.MarkSeen(cluster, qid, upstream);
     const auto [slot, inserted] = disc_dup_[cluster].FindOrInsert(qid);
-    if (inserted) *slot = upstream;
+    if (inserted) {
+      *slot = upstream;
+      retire_log().seen_clusters.FindOrInsert(qid).first->push_back(
+          static_cast<std::uint32_t>(cluster));
+    }
     return inserted;
   }
   const std::uint32_t* UpstreamW(std::size_t cluster,
@@ -1380,7 +1436,12 @@ class Simulator::Impl {
       return;
     }
     if (qid == root) return;  // RootOfW defaults to identity.
-    *disc_root_[DomainOfQid(qid)].FindOrInsert(qid).first = root;
+    const auto [slot, inserted] =
+        disc_root_[DomainOfQid(qid)].FindOrInsert(qid);
+    if (!inserted) return;  // The first binding wins, as in SimState.
+    *slot = root;
+    // The binding holds one count on the root until `qid` retires.
+    *retire_log().qid_delta.FindOrInsert(root).first += 1;
   }
   std::uint64_t RootOfW(std::uint64_t qid) const {
     if (!disc_) return state_.RootOf(qid);
@@ -3291,6 +3352,8 @@ class Simulator::Impl {
         .Increment(state_.duplicate_entries());
     m.GetGauge("sim.state.scratch_bytes")
         .SetMax(static_cast<double>(state_.ApproxScratchBytes()));
+    m.GetGauge("sim.state.live_roots")
+        .SetMax(static_cast<double>(live_query_roots()));
     m.GetTimer("sim.time.init_seconds").Record(init_seconds_);
     m.GetTimer("sim.time.run_seconds").Record(run_seconds_);
     m.GetHistogram("sim.response.hops", HopHistogramBounds())
@@ -3457,6 +3520,21 @@ class Simulator::Impl {
     std::vector<SimEvent> ctl_outbox;  // Control emissions this cell.
   };
 
+  /// One lane's share of sharded exact retirement (DESIGN.md §11),
+  /// written only by the thread draining that lane and kept beside the
+  /// lanes, so folding their tallies never copies it.
+  struct RetireLog {
+    /// Net in-flight count change per qid since the last barrier fold;
+    /// a key touched with no net change is still retirement-checked.
+    FlatMap64<std::int64_t> qid_delta;
+    /// Clusters whose duplicate table this lane gave each live qid an
+    /// entry in, until the qid retires.
+    FlatMap64<std::vector<std::uint32_t>> seen_clusters;
+  };
+  RetireLog& retire_log() const {
+    return retire_logs_[static_cast<std::size_t>(&lane() - lanes_.data())];
+  }
+
   /// The lane of the currently executing context. Thread-local so the
   /// parallel phase resolves it without indirection through event
   /// plumbing; every public entry point pins it to lanes_[0] (the only
@@ -3497,7 +3575,10 @@ class Simulator::Impl {
   void DrainControlUntil(double bound);
   void MergeOutboxes(double cell_close);
   Lane FoldedLanes() const;
-  void DiscRetireStateBefore(double cutoff_seconds);
+  void FoldRetirement();
+  void DiscRetireIfIdle(std::uint64_t qid, double now);
+  void EraseRetiredDuplicates();
+  void RebuildInFlightCounts(const std::vector<SimEvent>& events, double now);
   void DiscSaveState(CheckpointWriter& w) const;
   bool DiscLoadState(CheckpointReader& r);
 
@@ -3529,9 +3610,9 @@ class Simulator::Impl {
   // Streaming-mode lifecycle (Start / RunUntil* / FinalizeAt).
   bool started_ = false;
   bool finalized_ = false;
-  /// First root qid not yet proven retirable; RetireStateBefore resumes
-  /// its forward scan here so retirement stays O(retired) overall.
-  std::uint64_t retire_scan_qid_ = 0;
+  /// Qids minted by the executing legacy dispatch, retirement-checked
+  /// once it returns.
+  std::vector<std::uint64_t> minted_;
 
   std::vector<double> in_bytes_, out_bytes_, units_;
   std::vector<std::uint32_t> client_cluster_;
@@ -3540,7 +3621,6 @@ class Simulator::Impl {
   std::vector<double> outage_start_;
   std::vector<std::uint32_t> rr_;
 
-  std::uint64_t next_qid_ = 0;
   std::uint64_t partner_failures_ = 0;
   std::uint64_t cluster_outages_ = 0;
   double disconnected_client_seconds_ = 0.0;
@@ -3717,6 +3797,16 @@ class Simulator::Impl {
   std::vector<FlatMap64<std::uint32_t>> disc_dup_;
   std::vector<FlatMap64<QueryState>> disc_state_;
   std::vector<FlatMap64<std::uint64_t>> disc_root_;
+  /// Per-lane retirement logs (see RetireLog), one per shard.
+  mutable std::vector<RetireLog> retire_logs_;
+  /// Folded in-flight count per live disc qid (written only at
+  /// barriers): the pending events carrying it, plus one per live qid
+  /// bound to it.
+  FlatMap64<std::int64_t> disc_live_;
+  /// Qids retired by the current fold, whose duplicate entries
+  /// EraseRetiredDuplicates removes.
+  std::vector<std::uint64_t> disc_retired_;
+  double disc_longest_lifetime_ = 0.0;
   /// Per-home-domain first-response latency sums, folded in domain
   /// order (FP addition is not associative; a canonical order makes
   /// the fold shard-count-invariant).
@@ -3744,11 +3834,13 @@ void Simulator::Impl::DiscRunUntil(double sim_time) {
     if (cell_close > sim_time) {
       ParallelDrain(sim_time);
       MergeOutboxes(cell_close);
+      FoldRetirement();
       return;
     }
     ParallelDrain(cell_close);
     MergeOutboxes(cell_close);
     DrainControlUntil(cell_close);
+    FoldRetirement();
     ++cell_index_;
     // The queue high-water mark samples once per completed cell — never
     // at a mid-cell window cut — so the sample sequence (and the gauge)
@@ -3774,6 +3866,7 @@ void Simulator::Impl::ParallelDrain(double bound) {
 /// lookahead guarantees time >= the next cell's start.
 void Simulator::Impl::DrainShardUntil(std::size_t shard, double bound) {
   Lane& ln = lanes_[shard];
+  RetireLog& log = retire_logs_[shard];
   tls_lane_ = &ln;
   SimEventQueue& q = shard_queues_[shard];
   while (!q.empty() && q.NextTime() < bound) {
@@ -3783,6 +3876,7 @@ void Simulator::Impl::DrainShardUntil(std::size_t shard, double bound) {
     ln.measuring = e.time >= options_.warmup_seconds;
     ln.cur_domain = DomainOfEvent(e);
     Dispatch(e);
+    if (CarriesQid(e.kind)) *log.qid_delta.FindOrInsert(e.a).first -= 1;
   }
 }
 
@@ -3799,6 +3893,9 @@ void Simulator::Impl::DrainControlUntil(double bound) {
     ln.measuring = e.time >= options_.warmup_seconds;
     ln.cur_domain = kShardCtlDomain;
     Dispatch(e);
+    if (CarriesQid(e.kind)) {
+      *retire_logs_[0].qid_delta.FindOrInsert(e.a).first -= 1;
+    }
   }
   ln.cur_domain = kShardCtlDomain;
 }
@@ -3853,54 +3950,120 @@ auto Simulator::Impl::FoldedLanes() const -> Lane {
   return agg;
 }
 
-/// Sharded-discipline retirement. Entries are content-keyed (no
-/// sequential floor to advance), so retirement rebuilds each container
-/// without the retired set: first the duplicate tables and the
-/// retry-root mapping — whose liveness resolves through the CURRENT
-/// root state — then the root state itself. Runs single-threaded
-/// between windows.
-void Simulator::Impl::DiscRetireStateBefore(double cutoff_seconds) {
-  const auto root_live = [this, cutoff_seconds](std::uint64_t qid) {
-    const std::uint64_t root = RootOfW(qid);
-    const QueryState* qs = disc_state_[DomainOfQid(root)].Find(root);
-    return qs != nullptr && qs->submit_time >= cutoff_seconds;
-  };
-  for (FlatMap64<std::uint32_t>& dup : disc_dup_) {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> keep;
-    keep.reserve(dup.size());
-    dup.ForEach([&](std::uint64_t qid, const std::uint32_t& upstream) {
-      if (root_live(qid)) keep.emplace_back(qid, upstream);
+/// The barrier fold of sharded exact retirement (DESIGN.md §11). Runs
+/// single-threaded after the cell's merge and control phase (and after
+/// a mid-cell window cut): every lane's count deltas fold into
+/// disc_live_, then every qid a lane touched is retirement-checked.
+/// Counts are integers and retiring a qid is invisible to the protocol,
+/// so the fold order cannot matter: the live set after each fold is the
+/// same for every (S, T).
+void Simulator::Impl::FoldRetirement() {
+  std::vector<std::uint64_t> touched;
+  for (RetireLog& log : retire_logs_) {
+    log.qid_delta.ForEach([&](std::uint64_t qid, const std::int64_t& delta) {
+      *disc_live_.FindOrInsert(qid).first += delta;
+      touched.push_back(qid);
     });
-    if (keep.size() == dup.size()) continue;
-    dup.Clear();
-    for (const auto& [qid, upstream] : keep) {
-      *dup.FindOrInsert(qid).first = upstream;
-    }
+    log.qid_delta.Clear();
   }
-  for (FlatMap64<std::uint64_t>& roots : disc_root_) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> keep;
-    keep.reserve(roots.size());
+  if (touched.empty()) return;
+  double now = lanes_[0].now;
+  for (const Lane& ln : lanes_) now = std::max(now, ln.now);
+  for (const std::uint64_t qid : touched) DiscRetireIfIdle(qid, now);
+  EraseRetiredDuplicates();
+}
+
+/// Retires a disc qid whose folded count is zero: its query state (a
+/// claimed root records its submit-to-`now` span) and its root binding,
+/// whose count on the root it gives back. Its duplicate entries go in
+/// the next EraseRetiredDuplicates.
+void Simulator::Impl::DiscRetireIfIdle(std::uint64_t qid, double now) {
+  const std::int64_t* inflight = disc_live_.Find(qid);
+  if (inflight == nullptr || *inflight != 0) return;
+  disc_live_.Erase(qid);
+  disc_retired_.push_back(qid);
+  const std::uint32_t domain = DomainOfQid(qid);
+  if (const QueryState* qs = disc_state_[domain].Find(qid); qs != nullptr) {
+    disc_longest_lifetime_ =
+        std::max(disc_longest_lifetime_, now - qs->submit_time);
+    disc_state_[domain].Erase(qid);
+  }
+  const std::uint64_t* bound = disc_root_[domain].Find(qid);
+  if (bound == nullptr) return;
+  const std::uint64_t root = *bound;
+  disc_root_[domain].Erase(qid);
+  if (std::int64_t* root_inflight = disc_live_.Find(root);
+      root_inflight != nullptr) {
+    --*root_inflight;
+    DiscRetireIfIdle(root, now);
+  }
+}
+
+/// Erases the duplicate entries of every qid retired since the last
+/// call, in parallel on the shard pool: worker s erases only from the
+/// tables of clusters c with c % S == s, so no two workers touch one
+/// table, and each reads the lanes' cluster lists without writing them.
+void Simulator::Impl::EraseRetiredDuplicates() {
+  if (disc_retired_.empty()) return;
+  pool_->RunOnShards([this](std::size_t shard) {
+    for (const RetireLog& log : retire_logs_) {
+      for (const std::uint64_t qid : disc_retired_) {
+        const std::vector<std::uint32_t>* clusters =
+            log.seen_clusters.Find(qid);
+        if (clusters == nullptr) continue;
+        for (const std::uint32_t cluster : *clusters) {
+          if (cluster % num_shards_ == shard) disc_dup_[cluster].Erase(qid);
+        }
+      }
+    }
+  });
+  for (RetireLog& log : retire_logs_) {
+    for (const std::uint64_t qid : disc_retired_) log.seen_clusters.Erase(qid);
+  }
+  disc_retired_.clear();
+}
+
+/// Restore's last step: the in-flight counts are not in the payload, so
+/// they are rebuilt from what it holds — one count per pending event
+/// carrying a qid and one per root binding — and every qid left idle is
+/// retired (a checkpoint cut between windows holds none).
+void Simulator::Impl::RebuildInFlightCounts(const std::vector<SimEvent>& events,
+                                            double now) {
+  if (!disc_) {
+    for (const SimEvent& e : events) {
+      if (CarriesQid(e.kind)) state_.AddRef(e.a);
+    }
+    state_.RetireIdle(now);
+    return;
+  }
+  std::vector<std::uint64_t> held;
+  for (std::size_t c = 0; c < disc_dup_.size(); ++c) {
+    RetireLog& log = retire_logs_[c % num_shards_];
+    disc_dup_[c].ForEach([&](std::uint64_t qid, const std::uint32_t&) {
+      log.seen_clusters.FindOrInsert(qid).first->push_back(
+          static_cast<std::uint32_t>(c));
+      disc_live_.FindOrInsert(qid);
+      held.push_back(qid);
+    });
+  }
+  for (const FlatMap64<QueryState>& states : disc_state_) {
+    states.ForEach([&](std::uint64_t qid, const QueryState&) {
+      disc_live_.FindOrInsert(qid);
+      held.push_back(qid);
+    });
+  }
+  for (const FlatMap64<std::uint64_t>& roots : disc_root_) {
     roots.ForEach([&](std::uint64_t qid, const std::uint64_t& root) {
-      if (root_live(root)) keep.emplace_back(qid, root);
+      disc_live_.FindOrInsert(qid);
+      *disc_live_.FindOrInsert(root).first += 1;
+      held.push_back(qid);
     });
-    if (keep.size() == roots.size()) continue;
-    roots.Clear();
-    for (const auto& [qid, root] : keep) {
-      *roots.FindOrInsert(qid).first = root;
-    }
   }
-  for (FlatMap64<QueryState>& states : disc_state_) {
-    std::vector<std::pair<std::uint64_t, QueryState>> keep;
-    keep.reserve(states.size());
-    states.ForEach([&](std::uint64_t qid, const QueryState& qs) {
-      if (qs.submit_time >= cutoff_seconds) keep.emplace_back(qid, qs);
-    });
-    if (keep.size() == states.size()) continue;
-    states.Clear();
-    for (const auto& [qid, qs] : keep) {
-      *states.FindOrInsert(qid).first = qs;
-    }
+  for (const SimEvent& e : events) {
+    if (CarriesQid(e.kind)) *disc_live_.FindOrInsert(e.a).first += 1;
   }
+  for (const std::uint64_t qid : held) DiscRetireIfIdle(qid, now);
+  EraseRetiredDuplicates();
 }
 
 /// Sharded engine core of the checkpoint payload (SaveState writes the
@@ -3980,7 +4143,27 @@ bool Simulator::Impl::DiscLoadState(CheckpointReader& r) {
   for (FlatMap64<std::uint64_t>& roots : disc_root_) {
     GetEntries(r, roots, [&] { return r.GetU64(); });
   }
-  return r.ok();
+  if (!r.ok()) return false;
+  // Every restored qid must be one the restored counters could have
+  // minted: the rebuilt in-flight counts and the owner-domain routing
+  // both trust that.
+  bool valid = true;
+  const auto check = [&](std::uint64_t qid) {
+    valid = valid && RestoredQidValid(qid);
+  };
+  for (const FlatMap64<std::uint32_t>& dup : disc_dup_) {
+    dup.ForEach([&](std::uint64_t qid, const std::uint32_t&) { check(qid); });
+  }
+  for (const FlatMap64<QueryState>& states : disc_state_) {
+    states.ForEach([&](std::uint64_t qid, const QueryState&) { check(qid); });
+  }
+  for (const FlatMap64<std::uint64_t>& roots : disc_root_) {
+    roots.ForEach([&](std::uint64_t qid, const std::uint64_t& root) {
+      check(qid);
+      check(root);
+    });
+  }
+  return valid;
 }
 
 void SimOptions::Validate() const {
@@ -4078,8 +4261,17 @@ void Simulator::InjectQueryAt(double time, std::uint32_t user) {
   impl_->InjectQueryAt(time, user);
 }
 
-void Simulator::RetireStateBefore(double cutoff_seconds) {
-  impl_->RetireStateBefore(cutoff_seconds);
+std::uint64_t Simulator::live_query_roots() const {
+  return impl_->live_query_roots();
+}
+
+double Simulator::longest_query_lifetime_seconds() const {
+  return impl_->longest_query_lifetime_seconds();
+}
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>>
+Simulator::InFlightCounts() const {
+  return impl_->InFlightCounts();
 }
 
 void Simulator::SaveState(CheckpointWriter& w) const { impl_->SaveState(w); }

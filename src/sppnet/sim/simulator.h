@@ -2,6 +2,7 @@
 #define SPPNET_SIM_SIMULATOR_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sppnet/index/routing_index.h"
@@ -417,13 +418,23 @@ class Simulator {
   /// does not reschedule itself.
   void InjectQueryAt(double time, std::uint32_t user);
 
-  /// Retires per-query state for every query submitted before
-  /// `cutoff_seconds`, keeping resident state flat on an unbounded run.
-  /// The caller guarantees `cutoff_seconds` trails Now() by at least the
-  /// maximum query lifetime (DESIGN.md §11 derives the bound); retired
-  /// queries must have no in-flight events (checked on access).
-  void RetireStateBefore(double cutoff_seconds);
 
+  // --- Per-query state (exact retirement, DESIGN.md §11) ---------------------
+  /// Root queries whose state the simulator still holds. A query's state
+  /// retires as soon as no pending event carries its qid or one of its
+  /// retry and ring qids (a sharded run checks at every barrier), so
+  /// this stays flat on a stationary workload however long it runs.
+  std::uint64_t live_query_roots() const;
+  /// Longest submit-to-retire span of any root query retired so far, in
+  /// simulated seconds (0 before the first). Not checkpointed: a
+  /// restored simulator measures from its restore on.
+  double longest_query_lifetime_seconds() const;
+  /// (qid, count) of every qid with a nonzero in-flight count, ascending
+  /// by qid: the pending events that carry it, plus, for a root, one per
+  /// live retry or ring qid bound to it. Deterministic; a restore
+  /// rebuilds the same counts from the pending events. For tests and
+  /// diagnostics.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> InFlightCounts() const;
   // --- Checkpoint (sim/stream.h wraps these in an envelope) ------------------
   /// Serializes the complete mutable state: event queue, RNG streams,
   /// per-query state, accounting tallies, fault and adaptation state.

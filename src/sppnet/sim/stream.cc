@@ -1,6 +1,5 @@
 #include "sppnet/sim/stream.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -41,48 +40,22 @@ std::uint64_t MixString(std::uint64_t state, std::string_view s) {
       state);
 }
 
-/// The longest time a query's bookkeeping can still be touched after
-/// submission, from the protocol's own schedule bounds. Every delivery
-/// takes at most hop_latency + max jitter; flood/walk responses retrace
-/// at most their TTL depth; the expanding ring waits out one round trip
-/// per wave; the recovery protocol adds its full timeout + backoff
-/// tail. Doubled for safety — the floor checks in SimState turn an
-/// underestimate into a loud abort, never silent corruption.
-double DeriveRetentionSeconds(const Configuration& config,
-                              const SimOptions& sim) {
-  const double per_hop =
-      sim.hop_latency_seconds + sim.faults.max_delay_jitter_seconds;
-  const double ttl = static_cast<double>(config.ttl);
-  double depth = 2.0 * (ttl + 2.0);
-  if (sim.strategy == SearchStrategy::kRandomWalk) {
-    depth = std::max(depth, 2.0 * (static_cast<double>(sim.walk_ttl) + 1.0));
-  }
-  double lifetime = per_hop * depth;
-  if (sim.strategy == SearchStrategy::kExpandingRing) {
-    // One round trip of waiting per ring wave; the waves' round trips
-    // sum to O(ttl^2) hop times.
-    lifetime += per_hop * 2.0 * (ttl + 1.0) * (ttl + 2.0);
-  }
-  if (sim.faults.TimeoutsEnabled()) {
-    const double retries = static_cast<double>(sim.faults.max_retries);
-    lifetime += (retries + 1.0) * sim.faults.request_timeout_seconds +
-                retries * sim.faults.backoff_cap_seconds;
-  }
-  return 2.0 * lifetime + 1.0;
-}
-
 }  // namespace
 
 void StreamOptions::Validate() const {
   SPPNET_CHECK_MSG(std::isfinite(window_seconds) && window_seconds > 0.0,
                    "stream window must be finite and > 0");
-  SPPNET_CHECK_MSG(std::isfinite(state_retention_seconds) &&
-                       state_retention_seconds >= 0.0,
-                   "state retention must be finite and >= 0");
 }
 
-std::vector<TraceQuery> ParseQueryTrace(std::string_view text) {
-  std::vector<TraceQuery> out;
+QueryTraceParse ParseQueryTrace(std::string_view text) {
+  QueryTraceParse result;
+  std::vector<TraceQuery>& out = result.queries;
+  const auto fail = [&result](std::size_t line, const char* what) {
+    result.queries.clear();
+    result.error = what;
+    result.error_line = line;
+    return result;
+  };
   std::size_t pos = 0;
   std::size_t line_no = 0;
   while (pos <= text.size()) {
@@ -108,15 +81,19 @@ std::vector<TraceQuery> ParseQueryTrace(std::string_view text) {
         std::strtoull(after_time, &after_user, 10);
     const bool parsed = after_time != buf.c_str() && after_user != after_time &&
                         *after_user == '\0';
-    SPPNET_CHECK_MSG(parsed, "trace line is not \"time user\"");
-    SPPNET_CHECK_MSG(std::isfinite(time) && time >= 0.0,
-                     "trace time must be finite and >= 0");
-    SPPNET_CHECK_MSG(out.empty() || time >= out.back().time,
-                     "trace times must be nondecreasing");
-    SPPNET_CHECK_MSG(user <= 0xffffffffull, "trace user does not fit u32");
+    if (!parsed) return fail(line_no, "trace line is not \"time user\"");
+    if (!std::isfinite(time) || time < 0.0) {
+      return fail(line_no, "trace time must be finite and >= 0");
+    }
+    if (!out.empty() && time < out.back().time) {
+      return fail(line_no, "trace times must be nondecreasing");
+    }
+    if (user > 0xffffffffull) {
+      return fail(line_no, "trace user does not fit u32");
+    }
     out.push_back(TraceQuery{time, static_cast<std::uint32_t>(user)});
   }
-  return out;
+  return result;
 }
 
 StreamDriver::StreamDriver(const NetworkInstance& instance,
@@ -130,9 +107,6 @@ StreamDriver::StreamDriver(const NetworkInstance& instance,
       sim_options_(sim_options),
       stream_options_(stream_options) {
   stream_options_.Validate();
-  retention_seconds_ = stream_options_.state_retention_seconds > 0.0
-                           ? stream_options_.state_retention_seconds
-                           : DeriveRetentionSeconds(config_, sim_options_);
   RebuildSimulator();
   sim_->Start();
 }
@@ -210,11 +184,6 @@ StreamSnapshot StreamDriver::AdvanceWindow() {
     d = Fnv1aMix64(d, delta);
   }
   snapshot_digest_ = d;
-
-  if (stream_options_.retire_state) {
-    const double cutoff = window_end - retention_seconds_;
-    if (cutoff > 0.0) sim_->RetireStateBefore(cutoff);
-  }
   return snap;
 }
 
@@ -358,6 +327,10 @@ double StreamDriver::Now() const { return sim_->Now(); }
 
 std::uint64_t StreamDriver::events_dispatched() const {
   return sim_->events_dispatched();
+}
+
+double StreamDriver::effective_retention_seconds() const {
+  return sim_->longest_query_lifetime_seconds();
 }
 
 namespace {

@@ -22,23 +22,17 @@ class MetricsRegistry;
 /// Envelope identity of a stream checkpoint ("SPCK"); rejected by
 /// CheckpointReader::Open on any mismatch.
 inline constexpr std::uint32_t kStreamCheckpointMagic = 0x4b435053u;
-inline constexpr std::uint16_t kStreamCheckpointVersion = 3;
+inline constexpr std::uint16_t kStreamCheckpointVersion = 4;
 
 /// Options of the streaming serving layer on top of the simulator.
+/// Per-query state needs no option: the simulator retires each query
+/// the moment no pending event can reach it any more (DESIGN.md §11),
+/// so resident memory stays flat on an unbounded run by itself.
 struct StreamOptions {
   /// Simulated seconds per metric window (one snapshot per window).
   double window_seconds = 30.0;
-  /// How far behind the clock retired per-query state may reach. 0
-  /// derives a conservative bound from the simulation options (hop
-  /// latency + jitter across the deepest flood/walk/ring schedule plus
-  /// the full retry tail, doubled — DESIGN.md §11).
-  double state_retention_seconds = 0.0;
-  /// Retire per-query state at window boundaries so resident memory
-  /// stays flat on an unbounded run.
-  bool retire_state = true;
 
-  /// Aborts (SPPNET_CHECK) on invalid configurations: a non-positive
-  /// or non-finite window, a negative or non-finite retention.
+  /// Aborts (SPPNET_CHECK) on a non-positive or non-finite window.
   void Validate() const;
 };
 
@@ -69,18 +63,28 @@ struct TraceQuery {
   std::uint32_t user = 0;
 };
 
+/// Outcome of ParseQueryTrace: every query of a well-formed trace, or
+/// the first malformed line and what is wrong with it.
+struct QueryTraceParse {
+  std::vector<TraceQuery> queries;  ///< Empty when !ok().
+  std::string error;                ///< Empty on success.
+  std::size_t error_line = 0;       ///< 1-based; 0 on success.
+
+  bool ok() const { return error.empty(); }
+};
+
 /// Parses a textual query trace: one "time user" pair per line,
 /// whitespace-separated; blank lines and lines starting with '#' are
-/// skipped. Aborts (SPPNET_CHECK) on malformed lines, non-finite or
-/// descending times — a trace is an experiment input, and inputs are
-/// validated loudly.
-std::vector<TraceQuery> ParseQueryTrace(std::string_view text);
+/// skipped. A trace is untrusted input, so a malformed line, a
+/// non-finite, negative or descending time, or a user id wider than 32
+/// bits is reported in the result rather than aborting.
+QueryTraceParse ParseQueryTrace(std::string_view text);
 
 /// Streaming serving layer over one simulator run: ingests an unbounded
 /// generated (and/or trace-fed) event stream window by window, emits a
-/// StreamSnapshot per window, retires per-query state behind a safe
-/// horizon, and checkpoints/restores the full simulator state in the
-/// proto/ length-framed discipline.
+/// StreamSnapshot per window, and checkpoints/restores the full
+/// simulator state in the proto/ length-framed discipline. Per-query
+/// state retires inside the simulator, exactly when each query ends.
 ///
 /// Determinism contract: the snapshot sequence, the running snapshot
 /// digest and the final report are bit-identical to the batch Run()
@@ -108,8 +112,7 @@ class StreamDriver {
   void FeedTrace(std::span<const TraceQuery> queries);
 
   /// Dispatches all events of the next window and returns its snapshot.
-  /// Folds the snapshot into the running digest and retires state
-  /// behind the safe horizon (when enabled).
+  /// Folds the snapshot into the running digest.
   StreamSnapshot AdvanceWindow();
 
   /// Finalizes the run at the last emitted window boundary and returns
@@ -140,8 +143,11 @@ class StreamDriver {
   /// Simulation clock of the underlying simulator (last dispatch time).
   double Now() const;
   std::uint64_t events_dispatched() const;
-  /// The retention bound actually in force (resolved from the options).
-  double effective_retention_seconds() const { return retention_seconds_; }
+  /// How long per-query state was actually retained: the longest
+  /// submit-to-retire span of any query retired so far, in simulated
+  /// seconds (Simulator::longest_query_lifetime_seconds; a restored
+  /// driver measures from its restore on).
+  double effective_retention_seconds() const;
 
  private:
   std::uint64_t Fingerprint() const;
@@ -152,7 +158,6 @@ class StreamDriver {
   ModelInputs inputs_;
   SimOptions sim_options_;
   StreamOptions stream_options_;
-  double retention_seconds_ = 0.0;
 
   std::unique_ptr<Simulator> sim_;
   std::uint64_t windows_emitted_ = 0;

@@ -209,16 +209,6 @@ TEST(CheckpointCodecDeathTest, MalformedStreamOptionsAbort) {
     o.window_seconds = std::numeric_limits<double>::infinity();
     EXPECT_DEATH(o.Validate(), "stream window must be finite and > 0");
   }
-  {
-    StreamOptions o;
-    o.state_retention_seconds = -1.0;
-    EXPECT_DEATH(o.Validate(), "state retention must be finite and >= 0");
-  }
-  {
-    StreamOptions o;
-    o.state_retention_seconds = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_DEATH(o.Validate(), "state retention must be finite and >= 0");
-  }
 }
 
 TEST(CheckpointCodecTest, Fnv1aPrimitivesMatchEachOther) {

@@ -453,12 +453,12 @@ TEST(CheckpointRejectionTest, ForeignFingerprintIsRejected) {
 }
 
 TEST(CheckpointRejectionTest, PreviousFormatVersionIsRejected) {
-  // Version 2 payloads wrote a separate layout per engine (legacy
-  // fields interleaved, sharded core and shared sections mixed) that
-  // version 3's single codec no longer reads. Relabel a current
-  // checkpoint as version 2 with a valid checksum, so the version field
-  // is the only thing wrong with it: the restore must still refuse it
-  // rather than misread the payload.
+  // Version 3 payloads carried the legacy qid counter and retirement
+  // scan in the engine core; version 4 moves the next qid into the
+  // SimState section and drops the scan. Relabel a current checkpoint
+  // as version 3 with a valid checksum, so the version field is the
+  // only thing wrong with it: the restore must still refuse it rather
+  // than misread the payload.
   const Scenario s = ChurnScenario();
   const ModelInputs inputs = ModelInputs::Default();
   const NetworkInstance instance = MakeInstance(s, inputs);
@@ -467,14 +467,14 @@ TEST(CheckpointRejectionTest, PreviousFormatVersionIsRejected) {
   saver.AdvanceWindow();
   std::vector<std::uint8_t> bytes = saver.Checkpoint();
   ASSERT_GE(bytes.size(), 6u + 8u + 8u);
-  ASSERT_EQ(kStreamCheckpointVersion, 3);
+  ASSERT_EQ(kStreamCheckpointVersion, 4);
   // Envelope: u32 magic | u16 version | u64 size | payload | u64 FNV-1a.
-  EXPECT_EQ(bytes[4], 3);
+  EXPECT_EQ(bytes[4], 4);
   EXPECT_EQ(bytes[5], 0);
-  bytes[4] = 2;
+  bytes[4] = 3;
   Resign(bytes);
   // The relabelled envelope is well formed under its own version...
-  EXPECT_TRUE(CheckpointReader::Open(bytes, kStreamCheckpointMagic, 2)
+  EXPECT_TRUE(CheckpointReader::Open(bytes, kStreamCheckpointMagic, 3)
                   .has_value());
   // ...and refused by the current driver.
   StreamDriver restorer(instance, s.config, inputs,
@@ -552,6 +552,80 @@ TEST(CheckpointRejectionTest, PendingEventsFailingTheValidatorAreRejected) {
   }
 }
 
+TEST(CheckpointRejectionTest, QidFarAboveTheNextQidIsRejected) {
+  // Regression: a dense-backend restore used to size its slot arrays to
+  // the largest qid a payload named, so a checkpoint naming qid 2^60
+  // threw std::length_error out of Restore and ended the process. The
+  // SimState section now carries the next qid, and every qid at or
+  // above it — in the section or on a pending event — is refused.
+  // Patch a real checkpoint in each place, re-sign it, and check the
+  // restore fails cleanly and the refusing driver still works.
+  const Scenario s = ChurnScenario();
+  const ModelInputs inputs = ModelInputs::Default();
+  const NetworkInstance instance = MakeInstance(s, inputs);
+  constexpr std::uint64_t kHugeQid = std::uint64_t{1} << 60;
+  constexpr std::size_t kEventBytes = 48;
+  const auto put_u64 = [](std::vector<std::uint8_t>& bytes, std::size_t at,
+                          std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  const auto refused = [&](const SimOptions& options,
+                           std::vector<std::uint8_t> patched,
+                           const std::vector<std::uint8_t>& intact) {
+    Resign(patched);
+    StreamDriver restorer(instance, s.config, inputs, options, s.stream);
+    EXPECT_FALSE(restorer.Restore(patched));
+    EXPECT_EQ(restorer.windows_emitted(), 0u);
+    ASSERT_TRUE(restorer.Restore(intact));
+    restorer.AdvanceWindow();
+    EXPECT_EQ(restorer.windows_emitted(), 3u);
+  };
+  for (const SimOptions& options :
+       {ComboOptions(s, kMatrix[0]), ComboOptions(s, kMatrix[1]),
+        ShardedOptions(s, 2, 2)}) {
+    SCOPED_TRACE(options.shards.enabled() ? "sharded" : "legacy");
+    StreamDriver saver(instance, s.config, inputs, options, s.stream);
+    saver.AdvanceWindow();
+    saver.AdvanceWindow();
+    const std::vector<std::uint8_t> bytes = saver.Checkpoint();
+    const std::uint64_t events = ReadU64(bytes, kEventCountOffset);
+
+    // A pending event carrying a qid (a query, response or walk hop).
+    std::size_t carrier = bytes.size();
+    for (std::uint64_t i = 0; i < events && carrier == bytes.size(); ++i) {
+      const std::size_t at = kFirstEventOffset + i * kEventBytes;
+      const auto kind = static_cast<std::uint32_t>(ReadU64(bytes, at + 16));
+      if (kind == 1 || kind == 2 || kind == 21) carrier = at;
+    }
+    ASSERT_LT(carrier, bytes.size());
+    std::vector<std::uint8_t> patched = bytes;
+    put_u64(patched, carrier + 24, kHugeQid);
+    refused(options, patched, bytes);
+    if (options.shards.enabled()) continue;
+
+    // The first duplicate-table entry of the SimState section, which
+    // follows the events, the queue's next sequence number, the
+    // protocol RNG (four u64, f64, u8) and the latency sum: the "stat"
+    // tag, then the floor, next qid, duplicate tally and cluster count,
+    // then the entry count and the first entry's qid.
+    const std::size_t tag =
+        kFirstEventOffset + events * kEventBytes + 8 + 41 + 8;
+    ASSERT_EQ(ReadU64(bytes, tag) & 0xffffffffu, 0x74617473u);
+    const std::size_t next_qid = ReadU64(bytes, tag + 4 + 8);
+    ASSERT_GT(ReadU64(bytes, tag + 4 + 32), 0u);
+    ASSERT_LT(ReadU64(bytes, tag + 4 + 40), next_qid);
+    patched = bytes;
+    put_u64(patched, tag + 4 + 40, kHugeQid);
+    refused(options, patched, bytes);
+    // Raising the saved next qid along with it hits the window bound
+    // instead: the restore still refuses rather than allocating.
+    put_u64(patched, tag + 4 + 8, kHugeQid + 1);
+    refused(options, patched, bytes);
+  }
+}
+
 // ---- Sharded-discipline checkpoints --------------------------------
 //
 // The sharded payload is canonical — folded per-shard tallies, pending
@@ -623,7 +697,7 @@ TEST(ShardedCheckpointTest, CheckpointBytesAreWriterInvariant) {
   EXPECT_EQ(reference[1], 'P');
   EXPECT_EQ(reference[2], 'C');
   EXPECT_EQ(reference[3], 'K');
-  EXPECT_EQ(reference[4], 3);
+  EXPECT_EQ(reference[4], 4);
   EXPECT_EQ(reference[5], 0);
   const ShardPair writers[] = {{2, 1}, {3, 2}, {8, 8}};
   for (const ShardPair& w : writers) {

@@ -326,13 +326,91 @@ TEST(SimStateParityTest, LoadRestoresUnderEitherBackend) {
   }
 }
 
+TEST(SimStateParityTest, ExactRetirementReleasesAtZeroCount) {
+  // One root with two in-flight events and a retry qid bound to it; the
+  // retry holds the root until it retires itself. Both backends drop
+  // each qid's duplicate entries, state and binding exactly when its
+  // count reaches zero, and agree on every read along the way.
+  BackendPair s;
+  for (SimState* state : {&s.dense, &s.map}) {
+    const std::uint64_t root = state->Mint();
+    const std::uint64_t retry = state->Mint();
+    ASSERT_EQ(root, 0u);
+    ASSERT_EQ(retry, 1u);
+    state->Claim(root).submit_time = 1.0;
+    state->SetRoot(root, root);
+    state->AddRef(root);
+    state->AddRef(root);
+    state->MarkSeen(2, root, 7);
+    state->SetRoot(retry, root);
+    state->AddRef(retry);
+    state->MarkSeen(3, retry, 8);
+    EXPECT_EQ(state->live_roots(), 1u);
+    state->RetireIfIdle(root, 1.5);  // Still counted: a no-op.
+    state->Release(root, 2.0);
+    state->Release(root, 2.5);
+    // The bound retry still holds the root.
+    ASSERT_NE(state->Find(root), nullptr);
+    ASSERT_NE(state->Upstream(2, root), nullptr);
+    EXPECT_EQ(state->InFlightCounts(),
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                  {root, 1}, {retry, 1}}));
+    state->Release(retry, 4.0);
+    EXPECT_EQ(state->Find(root), nullptr);
+    EXPECT_EQ(state->Upstream(2, root), nullptr);
+    EXPECT_EQ(state->Upstream(3, retry), nullptr);
+    EXPECT_EQ(state->RootOf(retry), retry);
+    EXPECT_EQ(state->live_roots(), 0u);
+    EXPECT_TRUE(state->InFlightCounts().empty());
+    EXPECT_EQ(state->longest_lifetime_seconds(), 3.0);
+    EXPECT_EQ(state->retire_floor(), 2u);
+  }
+  EXPECT_EQ(SavedBytes(s.dense), SavedBytes(s.map));
+}
+
+TEST(SimStateParityTest, OutOfOrderRetirementKeepsTheWindowBounded) {
+  // Queries end out of submission order. Every retired qid is released
+  // at once, and the floor advances over the retired prefix, so a long
+  // stream of short-lived queries behind one long-lived root keeps only
+  // the window from that root on — and both backends agree throughout.
+  BackendPair s;
+  constexpr std::uint64_t kQueries = 5000;
+  for (SimState* state : {&s.dense, &s.map}) {
+    const std::uint64_t anchor = state->Mint();
+    state->Claim(anchor);
+    state->AddRef(anchor);
+    for (std::uint64_t i = 1; i < kQueries; ++i) {
+      const std::uint64_t qid = state->Mint();
+      state->Claim(qid).submit_time = static_cast<double>(i);
+      state->AddRef(qid);
+      state->MarkSeen(i % 8, qid, 1);
+      state->Release(qid, static_cast<double>(i) + 0.25);
+    }
+    EXPECT_EQ(state->live_roots(), 1u);
+    EXPECT_EQ(state->retire_floor(), 0u);  // Held by the anchor.
+    EXPECT_EQ(state->Find(kQueries / 2), nullptr);
+    state->Release(anchor, static_cast<double>(kQueries));
+    EXPECT_EQ(state->retire_floor(), kQueries);
+    EXPECT_EQ(state->live_roots(), 0u);
+  }
+  EXPECT_EQ(s.dense.longest_lifetime_seconds(),
+            static_cast<double>(kQueries));
+  EXPECT_EQ(SavedBytes(s.dense), SavedBytes(s.map));
+  // The dense slot arrays compacted: nothing of the retired window is
+  // still resident beyond the array capacity itself.
+  EXPECT_LT(s.dense.ApproxScratchBytes(), 2u * 1024u * 1024u);
+}
+
 TEST(SimStateTest, LoadRejectsMalformedPayloads) {
   constexpr std::uint32_t kMagic = 0x74736554u;
-  // A "stat" section header: retirement floor, duplicate tally, clusters.
+  // A "stat" section header: retirement floor, next qid, duplicate
+  // tally, clusters.
   const auto header = [](CheckpointWriter& w, std::uint64_t floor,
-                         std::uint64_t clusters) {
+                         std::uint64_t clusters,
+                         std::uint64_t next_qid = 100) {
     w.BeginSection(0x74617473u);  // "stat"
     w.PutU64(floor);
+    w.PutU64(next_qid);
     w.PutU64(0);
     w.PutU64(clusters);
   };
@@ -376,6 +454,55 @@ TEST(SimStateTest, LoadRejectsMalformedPayloads) {
     put_state(w, 5);
     w.PutU64(0);
     payloads.emplace_back("a qid below the saved retirement floor",
+                          w.Finish());
+  }
+  {
+    CheckpointWriter w(kMagic, 1);
+    header(w, 0, 4, 50);
+    w.PutU64(0);
+    w.PutU64(1);  // One query state, for qid 50 at the next qid of 50.
+    put_state(w, 50);
+    w.PutU64(0);
+    payloads.emplace_back("a state qid at the saved next qid", w.Finish());
+  }
+  {
+    CheckpointWriter w(kMagic, 1);
+    header(w, 0, 4, 50);
+    w.PutU64(1);  // One duplicate-table entry, for qid 2^60.
+    w.PutU64(std::uint64_t{1} << 60);
+    w.PutU64(0);
+    w.PutU32(0);
+    w.PutU64(0);
+    w.PutU64(0);
+    payloads.emplace_back("a duplicate-table qid far above the next qid",
+                          w.Finish());
+  }
+  {
+    CheckpointWriter w(kMagic, 1);
+    header(w, 0, 4, 50);
+    w.PutU64(0);
+    w.PutU64(0);
+    w.PutU64(1);  // One binding, to a root at the next qid.
+    w.PutU64(9);
+    w.PutU64(50);
+    payloads.emplace_back("a binding to a root at the saved next qid",
+                          w.Finish());
+  }
+  {
+    CheckpointWriter w(kMagic, 1);
+    header(w, 20, 4, 10);
+    w.PutU64(0);
+    w.PutU64(0);
+    w.PutU64(0);
+    payloads.emplace_back("a next qid below the floor", w.Finish());
+  }
+  {
+    CheckpointWriter w(kMagic, 1);
+    header(w, 0, 4, std::uint64_t{1} << 60);
+    w.PutU64(0);
+    w.PutU64(0);
+    w.PutU64(0);
+    payloads.emplace_back("a qid window wider than kMaxQidWindow",
                           w.Finish());
   }
   {
@@ -468,7 +595,7 @@ TEST(SimStateDeathTest, DenseClaimRejectsReclaim) {
   // a qid-allocation bug the dense backend traps.
   SimState dense(SimStateBackend::kDense, 2);
   dense.Claim(5);
-  EXPECT_DEATH(dense.Claim(5), "state_live_");
+  EXPECT_DEATH(dense.Claim(5), "claimed twice");
 }
 
 TEST(SimStateDeathTest, WritesBelowTheRetirementFloorAbort) {
@@ -482,6 +609,27 @@ TEST(SimStateDeathTest, WritesBelowTheRetirementFloorAbort) {
     EXPECT_DEATH(state.MarkSeen(1, 5, 2), "qid >= qid_base_");
     EXPECT_DEATH(state.Claim(5), "qid >= qid_base_");
     EXPECT_DEATH(state.SetRoot(5, 1), "qid >= qid_base_");
+  }
+}
+
+TEST(SimStateDeathTest, WritesToARetiredQidAboveTheFloorAbort) {
+  // Exact retirement releases qids out of order, so a retired qid can
+  // sit above the floor; a write to one must fail as loudly as a write
+  // below it, under both backends.
+  for (const SimStateBackend backend :
+       {SimStateBackend::kDense, SimStateBackend::kMapReference}) {
+    SimState state(backend, 4);
+    const std::uint64_t held = state.Mint();
+    const std::uint64_t done = state.Mint();
+    state.AddRef(held);
+    state.Claim(done);
+    state.RetireIfIdle(done, 1.0);
+    ASSERT_EQ(state.retire_floor(), 0u);
+    ASSERT_EQ(state.Find(done), nullptr);
+    EXPECT_DEATH(state.MarkSeen(1, done, 2), "retired qid");
+    EXPECT_DEATH(state.Claim(done), "retire");
+    EXPECT_DEATH(state.SetRoot(done, held), "retired qid");
+    EXPECT_DEATH(state.AddRef(done), "retired qid");
   }
 }
 

@@ -181,30 +181,29 @@ INSTANTIATE_TEST_SUITE_P(AllGoldens, StreamGoldenTest,
                          });
 
 TEST(StreamRetirementTest, RetirementDoesNotChangeTheGolden) {
-  // State retirement frees per-query slots behind the safe horizon; by
-  // construction no live protocol state is touched, so the flood golden
-  // must hold with retirement forced through an aggressive (but still
-  // derived-safe) retention as well as with retirement disabled.
+  // The simulator retires a query's state the moment no pending event
+  // carries its qid; by construction no reachable protocol state is
+  // touched, so the flood golden must hold. The observed retention is
+  // the longest submit-to-retire span, a few hop round trips here.
   const GoldenCase c = GoldenCases()[0];
   const ModelInputs inputs = ModelInputs::Default();
   const NetworkInstance instance = MakeInstance(c, inputs);
-  for (const bool retire : {true, false}) {
-    StreamOptions stream;
-    stream.window_seconds = 12.0;
-    stream.retire_state = retire;
-    StreamDriver driver(instance, c.config, inputs, c.options, stream);
-    EXPECT_GT(driver.effective_retention_seconds(), 0.0);
-    for (int w = 0; w < 11; ++w) driver.AdvanceWindow();
-    EXPECT_EQ(ReportDigest(driver.Finish()), c.report_digest)
-        << "retire_state=" << retire;
-  }
+  StreamOptions stream;
+  stream.window_seconds = 12.0;
+  StreamDriver driver(instance, c.config, inputs, c.options, stream);
+  EXPECT_EQ(driver.effective_retention_seconds(), 0.0);
+  for (int w = 0; w < 11; ++w) driver.AdvanceWindow();
+  EXPECT_GT(driver.effective_retention_seconds(), 0.0);
+  EXPECT_LT(driver.effective_retention_seconds(), 10.0);
+  EXPECT_EQ(ReportDigest(driver.Finish()), c.report_digest);
+  EXPECT_EQ(driver.snapshot_digest(), c.sequence_digest);
 }
 
 TEST(StreamRetirementTest, RetirementHoldsUnderChurnAndAdaptation) {
   // Retirement applies to every configuration: churn keeps lifespans
   // and recoveries in flight across each boundary, and adaptation
   // grows the cluster set mid-run. Both goldens must hold with state
-  // retired behind the derived horizon.
+  // retired as each query ends.
   const ModelInputs inputs = ModelInputs::Default();
   for (const std::size_t index : {std::size_t{1}, std::size_t{2}}) {
     const GoldenCase c = GoldenCases()[index];
@@ -212,7 +211,6 @@ TEST(StreamRetirementTest, RetirementHoldsUnderChurnAndAdaptation) {
     const NetworkInstance instance = MakeInstance(c, inputs);
     StreamOptions stream;
     stream.window_seconds = 12.0;
-    stream.retire_state = true;
     StreamDriver driver(instance, c.config, inputs, c.options, stream);
     for (int w = 0; w < 11; ++w) driver.AdvanceWindow();
     EXPECT_EQ(ReportDigest(driver.Finish()), c.report_digest);
@@ -222,8 +220,8 @@ TEST(StreamRetirementTest, RetirementHoldsUnderChurnAndAdaptation) {
 
 TEST(StreamRetirementTest, RetirementHoldsForExpandingRingRetries) {
   // Expanding-ring waves re-submit under fresh qids bound to their root
-  // query; retiring behind the horizon must never drop a root a later
-  // wave still resolves. Configuration, seeds and digest are the
+  // query; each binding holds the root, so retirement must never drop a
+  // root a later wave still resolves. Configuration, seeds and digest are the
   // pre-overhaul ring_plod batch golden (engine_equivalence_test.cc).
   Configuration config;
   config.graph_size = 400;
@@ -241,7 +239,6 @@ TEST(StreamRetirementTest, RetirementHoldsForExpandingRingRetries) {
   const NetworkInstance instance = GenerateInstance(config, inputs, rng);
   StreamOptions stream;
   stream.window_seconds = 12.0;
-  stream.retire_state = true;
   StreamDriver driver(instance, config, inputs, options, stream);
   for (int w = 0; w < 11; ++w) driver.AdvanceWindow();
   const SimReport streamed = driver.Finish();
@@ -250,13 +247,16 @@ TEST(StreamRetirementTest, RetirementHoldsForExpandingRingRetries) {
 }
 
 TEST(ParseQueryTraceTest, ParsesCommentsBlanksAndWhitespace) {
-  const std::vector<TraceQuery> trace = ParseQueryTrace(
+  const QueryTraceParse parsed = ParseQueryTrace(
       "# submissions harvested from a live deployment\n"
       "\n"
       "  0.5 7\r\n"
       "\t12.25   42\n"
       "12.25 3\n"
       "99 0");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_EQ(parsed.error_line, 0u);
+  const std::vector<TraceQuery>& trace = parsed.queries;
   ASSERT_EQ(trace.size(), 4u);
   EXPECT_EQ(trace[0].time, 0.5);
   EXPECT_EQ(trace[0].user, 7u);
@@ -266,22 +266,52 @@ TEST(ParseQueryTraceTest, ParsesCommentsBlanksAndWhitespace) {
   EXPECT_EQ(trace[2].user, 3u);
   EXPECT_EQ(trace[3].time, 99.0);
   EXPECT_EQ(trace[3].user, 0u);
-  EXPECT_TRUE(ParseQueryTrace("").empty());
-  EXPECT_TRUE(ParseQueryTrace("# only comments\n\n").empty());
+  EXPECT_TRUE(ParseQueryTrace("").ok());
+  EXPECT_TRUE(ParseQueryTrace("").queries.empty());
+  EXPECT_TRUE(ParseQueryTrace("# only comments\n\n").ok());
+  EXPECT_TRUE(ParseQueryTrace("# only comments\n\n").queries.empty());
 }
 
-TEST(ParseQueryTraceDeathTest, MalformedTracesAbort) {
-  EXPECT_DEATH(ParseQueryTrace("1.0"), "trace line is not \"time user\"");
-  EXPECT_DEATH(ParseQueryTrace("1.0 2 3"), "trace line is not \"time user\"");
-  EXPECT_DEATH(ParseQueryTrace("fast 2"), "trace line is not \"time user\"");
-  EXPECT_DEATH(ParseQueryTrace("nan 2"),
-               "trace time must be finite and >= 0");
-  EXPECT_DEATH(ParseQueryTrace("-1.0 2"),
-               "trace time must be finite and >= 0");
-  EXPECT_DEATH(ParseQueryTrace("5.0 1\n4.0 1"),
-               "trace times must be nondecreasing");
-  EXPECT_DEATH(ParseQueryTrace("1.0 4294967296"),
-               "trace user does not fit u32");
+// A malformed trace is reported, never fatal: the result names the
+// first bad line (1-based, counting blank and comment lines) and what
+// is wrong with it, and carries no queries. Each input below is one
+// way a line can be malformed.
+void ExpectTraceError(std::string_view text, std::size_t line,
+                      std::string_view error) {
+  const QueryTraceParse parsed = ParseQueryTrace(text);
+  EXPECT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error, error);
+  EXPECT_EQ(parsed.error_line, line);
+  EXPECT_TRUE(parsed.queries.empty());
+}
+
+TEST(ParseQueryTraceErrorTest, LineWithoutUser) {
+  ExpectTraceError("0.5 1\n1.0", 2, "trace line is not \"time user\"");
+}
+
+TEST(ParseQueryTraceErrorTest, LineWithExtraField) {
+  ExpectTraceError("1.0 2 3", 1, "trace line is not \"time user\"");
+}
+
+TEST(ParseQueryTraceErrorTest, NonNumericTime) {
+  ExpectTraceError("# header\nfast 2", 2, "trace line is not \"time user\"");
+}
+
+TEST(ParseQueryTraceErrorTest, NonFiniteTime) {
+  ExpectTraceError("nan 2", 1, "trace time must be finite and >= 0");
+  ExpectTraceError("inf 2", 1, "trace time must be finite and >= 0");
+}
+
+TEST(ParseQueryTraceErrorTest, NegativeTime) {
+  ExpectTraceError("-1.0 2", 1, "trace time must be finite and >= 0");
+}
+
+TEST(ParseQueryTraceErrorTest, DescendingTimes) {
+  ExpectTraceError("5.0 1\n\n4.0 1", 3, "trace times must be nondecreasing");
+}
+
+TEST(ParseQueryTraceErrorTest, UserWiderThan32Bits) {
+  ExpectTraceError("1.0 4294967296", 1, "trace user does not fit u32");
 }
 
 TEST(StreamTraceTest, TraceFedRunsAreDeterministicAndCheckpointable) {
@@ -309,7 +339,9 @@ TEST(StreamTraceTest, TraceFedRunsAreDeterministicAndCheckpointable) {
     trace_text += std::to_string((i * 37) % 300);
     trace_text += '\n';
   }
-  const std::vector<TraceQuery> trace = ParseQueryTrace(trace_text);
+  const QueryTraceParse parsed = ParseQueryTrace(trace_text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const std::vector<TraceQuery>& trace = parsed.queries;
   ASSERT_EQ(trace.size(), 40u);
 
   const auto stream_run = [&](bool feed) {
