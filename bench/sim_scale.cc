@@ -1,24 +1,21 @@
 // Scale sweep for the discrete-event simulator core: flood baseline at
-// N = 1e3 ... 1e6 nodes, production engine (deterministic calendar
-// queue + dense per-query state) timed against the reference engine
-// (binary heap + hash-map state), plus the sharded conservative-window
+// N = 1e3 ... 1e6 nodes on the legacy single-loop engine (calendar
+// queue + dense per-query state), plus the sharded conservative-window
 // discipline timed against its own sequential (S=1, T=1) reference.
-// Both members of every pair are checked bitwise-identical at the
-// SimReport level — the in-bench half of the equivalence contracts
-// (tests/sim/engine_equivalence_test and
-// tests/sim/sharded_equivalence_test hold the full matrices and the
-// pinned goldens).
+// The sharded pair is checked bitwise-identical at the SimReport level
+// — the in-bench half of the equivalence contract
+// (tests/sim/sharded_equivalence_test holds the full matrix and the
+// pinned goldens; tests/sim/engine_equivalence_test pins the legacy
+// engine).
 //
 // The sweep reports events/sec (whole run: warmup + measurement) and
 // the per-node scratch footprint of the event queue and the per-query
 // state, from the sim.queue.* / sim.state.* gauges. Simulated duration
-// shrinks as N grows so the reference hash-map backend stays within CI
-// memory; events/sec is duration-independent (steady-state event mix).
-// The heap+map reference pair stops at N = 1e5 (its duplicate tables
-// would need tens of minutes at 1e6); the sharded rows cover every
-// size. Sharded wall-clock speedup is machine-dependent — it needs
-// real cores to show parallel gain — while the identity checks hold on
-// any machine.
+// shrinks as N grows to bound the sweep's wall time; events/sec is
+// duration-independent (steady-state event mix). The legacy row stops
+// at N = 1e5; the sharded rows cover every size. Sharded wall-clock
+// speedup is machine-dependent — it needs real cores to show parallel
+// gain — while the identity check holds on any machine.
 //
 // SPPNET_SIM_SCALE_MAX_N caps the sweep (CI smoke runs set it down;
 // smoke mode clamps to 1e4 regardless of the override).
@@ -42,7 +39,7 @@ namespace sppnet::bench {
 namespace {
 
 /// Bitwise SimReport comparison: every field, including the load
-/// vectors. Any drift between engines is an overhaul bug.
+/// vectors. Any drift between shard plans is a discipline bug.
 bool ReportsIdentical(const SimReport& a, const SimReport& b) {
   if (a.partner_load.size() != b.partner_load.size() ||
       a.client_load.size() != b.client_load.size()) {
@@ -102,47 +99,17 @@ struct EngineRun {
   SimReport report;
 };
 
-EngineRun RunEngine(const NetworkInstance& inst, const Configuration& config,
-                    const ModelInputs& inputs, const SimOptions& base,
-                    SimEngine engine, SimStateBackend backend) {
-  EngineRun result;
-  result.label = engine == SimEngine::kCalendar ? "calendar+dense"
-                                                : "heap+map_ref";
-  SimOptions options = base;
-  options.engine = engine;
-  options.state_backend = backend;
-  // Best of two runs, timing the event loop only (construction is
-  // engine-independent setup): the runs are bit-identical, so the
-  // second measurement is a pure noise reduction, not a different
-  // workload. Both engines get the same treatment.
-  for (int rep = 0; rep < 2; ++rep) {
-    MetricsRegistry metrics;
-    options.metrics = &metrics;
-    Simulator sim(inst, config, inputs, options);
-    const auto t0 = std::chrono::steady_clock::now();
-    result.report = sim.Run();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (rep == 0 || seconds < result.seconds) result.seconds = seconds;
-    result.queue_bytes = metrics.GaugeValue("sim.queue.scratch_bytes");
-    result.state_bytes = metrics.GaugeValue("sim.state.scratch_bytes");
-  }
-  return result;
-}
-
-/// One run of the sharded conservative-window discipline on the
-/// production engine. `reps` reduces timer noise exactly as RunEngine
-/// does; the heaviest sizes run once.
-EngineRun RunSharded(const NetworkInstance& inst, const Configuration& config,
-                     const ModelInputs& inputs, const SimOptions& base,
-                     std::size_t shards, std::size_t threads,
-                     const char* label, int reps) {
+/// Best of `reps` runs, timing the event loop only (construction is
+/// setup): the runs are bit-identical, so the repeats are a pure noise
+/// reduction, not a different workload; the heaviest sizes run once.
+/// `shards` == 0 runs the legacy single-loop engine.
+EngineRun RunTimed(const NetworkInstance& inst, const Configuration& config,
+                   const ModelInputs& inputs, const SimOptions& base,
+                   std::size_t shards, std::size_t threads, const char* label,
+                   int reps) {
   EngineRun result;
   result.label = label;
   SimOptions options = base;
-  options.engine = SimEngine::kCalendar;
-  options.state_backend = SimStateBackend::kDense;
   options.shards.num_shards = shards;
   options.shards.num_threads = threads;
   for (int rep = 0; rep < reps; ++rep) {
@@ -191,22 +158,18 @@ int Main() {
   const ModelInputs inputs = ModelInputs::Default();
   TableWriter table({"N", "engine", "run_s", "events", "Kev/s",
                      "queue_B/node", "state_B/node", "speedup"});
-  bool identity_ok = true;
   bool sharded_identity_ok = true;
-  double speedup_1e4 = 0.0;
   double best_sharded_speedup = 0.0;
 
   struct SizePoint {
     std::size_t n;
     double duration;
-    bool legacy_pair;  // heap+map vs calendar+dense comparison runs.
+    bool legacy_row;  // The legacy calendar+dense row runs.
   };
-  // Duration shrinks with N: the reference hash-map backend's duplicate
-  // tables grow with (clusters x queries), and the sweep must fit CI
-  // memory. Rates (events/sec) are steady-state, so this only trades
-  // measurement time, not comparability. At N = 1e6 only the sharded
-  // discipline runs (the heap+map reference would need tens of
-  // minutes), once per configuration.
+  // Duration shrinks with N to bound the sweep's wall time. Rates
+  // (events/sec) are steady-state, so this only trades measurement
+  // time, not comparability. At N = 1e6 only the sharded discipline
+  // runs, once per configuration.
   const SizePoint kSizes[] = {
       {1000, SmokeSimSeconds(60.0, 10.0), true},
       {10000, SmokeSimSeconds(30.0, 5.0), true},
@@ -244,57 +207,39 @@ int Main() {
            speedup > 0.0 ? Format(speedup, 3) : std::string("-")});
     };
 
-    if (point.legacy_pair) {
-      const EngineRun reference =
-          RunEngine(inst, config, inputs, base, SimEngine::kHeapReference,
-                    SimStateBackend::kMapReference);
-      const EngineRun production =
-          RunEngine(inst, config, inputs, base, SimEngine::kCalendar,
-                    SimStateBackend::kDense);
-
-      if (!ReportsIdentical(reference.report, production.report)) {
-        identity_ok = false;
-        std::printf("IDENTITY VIOLATION at N=%zu: calendar+dense drifted "
-                    "from heap+map\n",
-                    point.n);
-      }
-
+    if (point.legacy_row) {
+      const EngineRun legacy =
+          RunTimed(inst, config, inputs, base, 0, 1, "calendar+dense", 2);
       const double events =
-          static_cast<double>(production.report.events_dispatched);
-      const double speedup = reference.seconds / production.seconds;
-      if (point.n == 10000) speedup_1e4 = speedup;
+          static_cast<double>(legacy.report.events_dispatched);
       std::printf("\nN=%zu: %.0f events, queue HWM %llu, %.2fs sim time\n",
                   point.n, events,
                   static_cast<unsigned long long>(
-                      production.report.queue_depth_hwm),
+                      legacy.report.queue_depth_hwm),
                   point.duration);
 
-      add_row(reference, events, 0.0);
-      add_row(production, events, speedup);
+      add_row(legacy, events, 0.0);
       run.metrics()
           .GetGauge("sim_scale.events_per_sec.n" + Format(point.n))
-          .Set(events / production.seconds);
-      run.metrics()
-          .GetGauge("sim_scale.speedup.n" + Format(point.n))
-          .Set(speedup);
+          .Set(events / legacy.seconds);
       run.metrics()
           .GetGauge("sim_scale.state_bytes_per_node.n" + Format(point.n))
-          .Set(production.state_bytes / n_nodes);
+          .Set(legacy.state_bytes / n_nodes);
     }
 
     // Sharded discipline: sequential (S=1, T=1) reference vs the
     // parallel plan, bit-identical by contract.
     const int reps = point.n >= 1000000 ? 1 : 2;
-    const EngineRun disc_seq = RunSharded(inst, config, inputs, base, 1, 1,
-                                          "disc(S1,T1)", reps);
+    const EngineRun disc_seq = RunTimed(inst, config, inputs, base, 1, 1,
+                                        "disc(S1,T1)", reps);
     std::string sharded_label = "sharded(S";
     sharded_label += Format(shard_count);
     sharded_label += ",T";
     sharded_label += Format(shard_threads);
     sharded_label += ")";
     const EngineRun sharded =
-        RunSharded(inst, config, inputs, base, shard_count, shard_threads,
-                   sharded_label.c_str(), reps);
+        RunTimed(inst, config, inputs, base, shard_count, shard_threads,
+                 sharded_label.c_str(), reps);
 
     if (!ReportsIdentical(disc_seq.report, sharded.report)) {
       sharded_identity_ok = false;
@@ -319,16 +264,9 @@ int Main() {
 
   std::printf("\n");
   run.Emit(table, "sim_scale");
-  run.Config("identity_ok", identity_ok ? "true" : "false");
   run.Config("sharded_identity_ok", sharded_identity_ok ? "true" : "false");
-  std::printf("\nSimReport bit-identity across engines: %s\n",
-              identity_ok ? "OK" : "FAILED");
-  std::printf("Sharded discipline bit-identity vs sequential: %s\n",
+  std::printf("\nSharded discipline bit-identity vs sequential: %s\n",
               sharded_identity_ok ? "OK" : "FAILED");
-  if (speedup_1e4 > 0.0) {
-    std::printf("Speedup at N=1e4 (calendar+dense vs heap+map): %.2fx\n",
-                speedup_1e4);
-  }
 
   // Multi-core smoke gate (CI): with SPPNET_SIM_SCALE_REQUIRE_SPEEDUP
   // set, the sharded discipline must actually beat its sequential
@@ -348,7 +286,7 @@ int Main() {
                   speedup_ok ? "OK" : "FAILED");
     }
   }
-  return identity_ok && sharded_identity_ok && speedup_ok ? 0 : 1;
+  return sharded_identity_ok && speedup_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -53,48 +53,6 @@ inline bool EarlierEvent(const SimEvent& lhs, const SimEvent& rhs) {
 
 }  // namespace
 
-void EventQueue::Schedule(SimEvent event) {
-  SPPNET_CHECK(std::isfinite(event.time) && event.time >= 0.0);
-  event.seq = next_seq_++;
-  heap_.push(event);
-}
-
-void EventQueue::SchedulePreKeyed(const SimEvent& event) {
-  SPPNET_CHECK(std::isfinite(event.time) && event.time >= 0.0);
-  heap_.push(event);
-}
-
-double EventQueue::NextTime() const {
-  SPPNET_CHECK(!heap_.empty());
-  return heap_.top().time;
-}
-
-SimEvent EventQueue::Pop() {
-  SPPNET_CHECK(!heap_.empty());
-  SimEvent e = heap_.top();
-  heap_.pop();
-  return e;
-}
-
-std::vector<SimEvent> EventQueue::SnapshotEvents() const {
-  EventQueue scratch = *this;
-  std::vector<SimEvent> events;
-  events.reserve(scratch.size());
-  while (!scratch.empty()) events.push_back(scratch.Pop());
-  return events;
-}
-
-void EventQueue::RestorePending(const std::vector<SimEvent>& events,
-                                std::uint64_t next_seq) {
-  SPPNET_CHECK(heap_.empty());
-  for (const SimEvent& event : events) {
-    SPPNET_CHECK(std::isfinite(event.time) && event.time >= 0.0);
-    SPPNET_CHECK(event.seq < next_seq);
-    heap_.push(event);
-  }
-  next_seq_ = next_seq;
-}
-
 CalendarQueue::CalendarQueue()
     : buckets_(kMinBuckets), width_(0.25), inv_width_(1.0 / 0.25) {}
 

@@ -12,11 +12,9 @@
 #include "sppnet/model/instance.h"
 #include "sppnet/model/load.h"
 #include "sppnet/sim/adaptive_sim.h"
-#include "sppnet/sim/event_queue.h"
 #include "sppnet/sim/faults.h"
 #include "sppnet/sim/plan.h"
 #include "sppnet/sim/sharded_sim.h"
-#include "sppnet/sim/sim_state.h"
 
 namespace sppnet {
 
@@ -60,15 +58,6 @@ struct SimOptions {
   /// One-way delivery latency per overlay hop (seconds).
   double hop_latency_seconds = 0.05;
   std::uint64_t seed = 7;
-
-  /// Event-queue engine. Both deliver the identical (time, seq) event
-  /// stream — the reference heap exists to prove it (the engine
-  /// equivalence suite) and to measure against (bench/sim_scale).
-  SimEngine engine = SimEngine::kCalendar;
-  /// Per-query state storage. Both backends are semantically identical;
-  /// kMapReference preserves the original hash-map containers for the
-  /// same two purposes.
-  SimStateBackend state_backend = SimStateBackend::kDense;
 
   /// In-trial sharding plan (see sim/sharded_sim.h and DESIGN.md §12):
   /// partitions clusters across parallel event loops advanced in
@@ -180,10 +169,10 @@ struct SimOptions {
   void Validate() const;
 };
 
-/// Measured outcome of a simulation run. Every field is
-/// engine-independent: reports are bit-identical across SimEngine and
-/// SimStateBackend choices (engine-specific internals — bucket counts,
-/// scratch bytes — are published through the obs registry only).
+/// Measured outcome of a simulation run. Every field is a function of
+/// the protocol's event stream alone: implementation internals (queue
+/// bucket counts, scratch bytes) are published through the obs registry
+/// only, so they can change without moving a report.
 struct SimReport {
   double measured_seconds = 0.0;
 

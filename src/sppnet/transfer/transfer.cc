@@ -61,7 +61,7 @@ TransferReport SimulateTransfers(std::size_t num_peers,
       options.download_rate_per_user * static_cast<double>(num_peers);
   SPPNET_CHECK(arrival_rate > 0.0);
 
-  EventQueue queue;
+  CalendarQueue queue;
   double now = 0.0;
   const auto exp_delay = [&rng](double rate) {
     return -std::log(1.0 - rng.NextDouble()) / rate;

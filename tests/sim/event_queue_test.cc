@@ -1,24 +1,70 @@
 #include "sppnet/sim/event_queue.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <queue>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sppnet/common/check.h"
 #include "sppnet/common/rng.h"
 
 namespace sppnet {
 namespace {
 
+// Test-side oracle: the (time, seq) contract CalendarQueue must meet, in
+// its most obvious form — a binary min-heap. Same interface, same
+// aborts on empty access and invalid times.
+class HeapReference {
+ public:
+  void Schedule(SimEvent event) {
+    event.seq = next_seq_++;
+    SchedulePreKeyed(event);
+  }
+  void SchedulePreKeyed(const SimEvent& event) {
+    SPPNET_CHECK(std::isfinite(event.time) && event.time >= 0.0);
+    heap_.push(event);
+  }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+  double NextTime() const {
+    SPPNET_CHECK(!heap_.empty());
+    return heap_.top().time;
+  }
+  SimEvent Pop() {
+    SPPNET_CHECK(!heap_.empty());
+    const SimEvent e = heap_.top();
+    heap_.pop();
+    return e;
+  }
+  std::vector<SimEvent> SnapshotEvents() const {
+    HeapReference scratch = *this;
+    std::vector<SimEvent> events;
+    while (!scratch.empty()) events.push_back(scratch.Pop());
+    return events;
+  }
+
+ private:
+  struct Later {
+    bool operator()(const SimEvent& lhs, const SimEvent& rhs) const {
+      if (lhs.time != rhs.time) return lhs.time > rhs.time;
+      return lhs.seq > rhs.seq;
+    }
+  };
+  std::priority_queue<SimEvent, std::vector<SimEvent>, Later> heap_;
+  std::uint64_t next_seq_ = 0;
+};
+
 TEST(EventQueueTest, StartsEmpty) {
-  EventQueue q;
+  CalendarQueue q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(EventQueueTest, PopsInTimeOrder) {
-  EventQueue q;
+  CalendarQueue q;
   for (const double t : {5.0, 1.0, 3.0, 2.0, 4.0}) {
     SimEvent e;
     e.time = t;
@@ -33,7 +79,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
 }
 
 TEST(EventQueueTest, TiesBreakInScheduleOrder) {
-  EventQueue q;
+  CalendarQueue q;
   for (std::uint32_t i = 0; i < 10; ++i) {
     SimEvent e;
     e.time = 1.0;
@@ -46,7 +92,7 @@ TEST(EventQueueTest, TiesBreakInScheduleOrder) {
 }
 
 TEST(EventQueueTest, NextTimeReflectsEarliest) {
-  EventQueue q;
+  CalendarQueue q;
   SimEvent a;
   a.time = 7.0;
   q.Schedule(a);
@@ -58,7 +104,7 @@ TEST(EventQueueTest, NextTimeReflectsEarliest) {
 }
 
 TEST(EventQueueTest, PayloadRoundTrips) {
-  EventQueue q;
+  CalendarQueue q;
   SimEvent e;
   e.time = 1.0;
   e.kind = 3;
@@ -76,7 +122,7 @@ TEST(EventQueueTest, PayloadRoundTrips) {
 }
 
 TEST(EventQueueTest, InterleavedScheduleAndPop) {
-  EventQueue q;
+  CalendarQueue q;
   SimEvent e;
   e.time = 1.0;
   q.Schedule(e);
@@ -103,7 +149,7 @@ TEST(EventQueueStressTest, ThousandsOfCollidingTimestampsPopFifo) {
   // 5000 events over only 7 distinct timestamps: ~700 collisions per
   // timestamp. Tag each event with its global schedule index and check
   // the pop order is (time, schedule index) lexicographic.
-  EventQueue q;
+  CalendarQueue q;
   Rng rng(2024);
   const double kTimes[] = {0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 10.0};
   constexpr std::uint64_t kNumEvents = 5000;
@@ -139,7 +185,7 @@ TEST(EventQueueStressTest, FifoSurvivesInterleavedPops) {
   // Schedule/pop interleaving must not disturb the FIFO rule: events
   // scheduled *after* some pops still sort behind earlier same-time
   // events that are still queued.
-  EventQueue q;
+  CalendarQueue q;
   Rng rng(99);
   std::uint64_t next_index = 0;
   double prev_time = -1.0;
@@ -185,7 +231,7 @@ TEST(EventQueueStressTest, FifoSurvivesInterleavedPops) {
 TEST(EventQueueStressTest, IdenticalScheduleSequenceDrainsIdentically) {
   // Two queues fed the same sequence drain byte-identically — the
   // property the whole-simulator determinism tests build on.
-  const auto feed = [](EventQueue& q) {
+  const auto feed = [](CalendarQueue& q) {
     Rng rng(7);
     for (std::uint64_t i = 0; i < 3000; ++i) {
       SimEvent e;
@@ -194,7 +240,7 @@ TEST(EventQueueStressTest, IdenticalScheduleSequenceDrainsIdentically) {
       q.Schedule(e);
     }
   };
-  EventQueue a, b;
+  CalendarQueue a, b;
   feed(a);
   feed(b);
   while (!a.empty()) {
@@ -207,174 +253,239 @@ TEST(EventQueueStressTest, IdenticalScheduleSequenceDrainsIdentically) {
   EXPECT_TRUE(b.empty());
 }
 
-// --- Engine matrix -----------------------------------------------------
+// --- Calendar vs the heap oracle ---------------------------------------
 //
-// Every ordering rule above must hold for BOTH engines behind
-// SimEventQueue: the reference heap and the production calendar queue.
-// The differential tests below feed identical schedule sequences to
-// both and assert the pop streams match event for event — the queue-level
-// half of the whole-simulator equivalence goldens.
+// Every ordering rule above must hold for the calendar queue and for the
+// test-side heap oracle alike: the oracle is only worth comparing
+// against if it meets the same contract. The differential test below
+// then feeds identical operation sequences to both and asserts the pop
+// streams match event for event — the queue-level half of the
+// whole-simulator goldens.
 
-class EngineQueueTest : public ::testing::TestWithParam<SimEngine> {};
+enum class QueueKind { kCalendar, kHeapReference };
+
+// Runs `fn` on a fresh queue of the given kind.
+template <typename Fn>
+void WithQueue(QueueKind kind, Fn&& fn) {
+  if (kind == QueueKind::kCalendar) {
+    CalendarQueue q;
+    fn(q);
+  } else {
+    HeapReference q;
+    fn(q);
+  }
+}
+
+class EngineQueueTest : public ::testing::TestWithParam<QueueKind> {};
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, EngineQueueTest,
-                         ::testing::Values(SimEngine::kCalendar,
-                                           SimEngine::kHeapReference),
+                         ::testing::Values(QueueKind::kCalendar,
+                                           QueueKind::kHeapReference),
                          [](const auto& info) {
-                           return info.param == SimEngine::kCalendar
+                           return info.param == QueueKind::kCalendar
                                       ? "Calendar"
                                       : "HeapReference";
                          });
 
 TEST_P(EngineQueueTest, PopsInTimeOrderWithFifoTies) {
-  SimEventQueue q(GetParam());
-  Rng rng(4242);
-  constexpr std::uint64_t kNumEvents = 20000;
-  const double kTimes[] = {0.0, 0.5, 1.0, 1.25, 2.0, 7.5, 100.0};
-  for (std::uint64_t i = 0; i < kNumEvents; ++i) {
-    SimEvent e;
-    e.time = kTimes[rng.NextBounded(std::size(kTimes))];
-    e.a = i;
-    q.Schedule(e);
-  }
-  ASSERT_EQ(q.size(), kNumEvents);
-  double prev_time = -1.0;
-  std::uint64_t prev_index = 0;
-  bool first = true;
-  while (!q.empty()) {
-    EXPECT_DOUBLE_EQ(q.NextTime(), q.NextTime());  // Idempotent peek.
-    const SimEvent e = q.Pop();
-    if (!first && e.time == prev_time) {
-      ASSERT_GT(e.a, prev_index);
-    } else if (!first) {
-      ASSERT_GT(e.time, prev_time);
+  WithQueue(GetParam(), [](auto& q) {
+    Rng rng(4242);
+    constexpr std::uint64_t kNumEvents = 20000;
+    const double kTimes[] = {0.0, 0.5, 1.0, 1.25, 2.0, 7.5, 100.0};
+    for (std::uint64_t i = 0; i < kNumEvents; ++i) {
+      SimEvent e;
+      e.time = kTimes[rng.NextBounded(std::size(kTimes))];
+      e.a = i;
+      q.Schedule(e);
     }
-    prev_time = e.time;
-    prev_index = e.a;
-    first = false;
-  }
+    ASSERT_EQ(q.size(), kNumEvents);
+    double prev_time = -1.0;
+    std::uint64_t prev_index = 0;
+    bool first = true;
+    while (!q.empty()) {
+      EXPECT_DOUBLE_EQ(q.NextTime(), q.NextTime());  // Idempotent peek.
+      const SimEvent e = q.Pop();
+      if (!first && e.time == prev_time) {
+        ASSERT_GT(e.a, prev_index);
+      } else if (!first) {
+        ASSERT_GT(e.time, prev_time);
+      }
+      prev_time = e.time;
+      prev_index = e.a;
+      first = false;
+    }
+  });
 }
 
 TEST_P(EngineQueueTest, MassiveSingleTimestampFloodPopsFifo) {
   // Worst-case tie flood: every event in one calendar day. Selection
   // must fall back to pure seq order.
-  SimEventQueue q(GetParam());
-  constexpr std::uint32_t kNumEvents = 10000;
-  for (std::uint32_t i = 0; i < kNumEvents; ++i) {
-    SimEvent e;
-    e.time = 3.25;
-    e.node = i;
-    q.Schedule(e);
-  }
-  for (std::uint32_t i = 0; i < kNumEvents; ++i) {
-    ASSERT_EQ(q.Pop().node, i);
-  }
-  EXPECT_TRUE(q.empty());
+  WithQueue(GetParam(), [](auto& q) {
+    constexpr std::uint32_t kNumEvents = 10000;
+    for (std::uint32_t i = 0; i < kNumEvents; ++i) {
+      SimEvent e;
+      e.time = 3.25;
+      e.node = i;
+      q.Schedule(e);
+    }
+    for (std::uint32_t i = 0; i < kNumEvents; ++i) {
+      ASSERT_EQ(q.Pop().node, i);
+    }
+    EXPECT_TRUE(q.empty());
+  });
+}
+
+// Pops one event from both queues and asserts they agree.
+void ExpectSamePop(CalendarQueue& calendar, HeapReference& oracle,
+                   double& now) {
+  ASSERT_FALSE(oracle.empty());
+  ASSERT_EQ(calendar.NextTime(), oracle.NextTime());
+  const SimEvent a = calendar.Pop();
+  const SimEvent b = oracle.Pop();
+  ASSERT_EQ(a.time, b.time);
+  ASSERT_EQ(a.seq, b.seq);
+  ASSERT_EQ(a.node, b.node);
+  now = a.time;
 }
 
 TEST(EngineDifferentialTest, EnginesDrainIdenticallyUnderRandomLoad) {
-  // Interleaved schedule/pop with colliding timestamps, growth past
-  // several resize thresholds, and drain back down through the shrink
-  // path: the two engines must produce byte-identical pop streams.
-  SimEventQueue calendar(SimEngine::kCalendar);
-  SimEventQueue heap(SimEngine::kHeapReference);
+  // Over 10^6 randomized operations, the calendar queue and the heap
+  // oracle must produce identical pop streams. The mix covers:
+  //  - arrivals into the staged day: events at exactly `now`, scheduled
+  //    right after a pop while the rest of that day is still staged;
+  //  - resize churn: the population swings between a few dozen and
+  //    tens of thousands of events, through the growth and shrink
+  //    thresholds and the periodic width recalibration;
+  //  - caller-keyed events (SchedulePreKeyed) from a key space disjoint
+  //    from the queue's own counter, as the sharded discipline uses;
+  //  - a mid-stream checkpoint every 2^17 operations: the calendar's
+  //    snapshot must equal the oracle's, and the run continues on a
+  //    fresh calendar rebuilt by RestorePending (queue-keyed events)
+  //    plus SchedulePreKeyed (caller-keyed ones).
+  constexpr std::uint64_t kOps = 1200000;
+  constexpr std::uint64_t kPreKeyBase = std::uint64_t{1} << 62;
+  CalendarQueue calendar;
+  HeapReference oracle;
   Rng rng(20240731);
   double now = 0.0;
   std::uint32_t next_node = 0;
-  const auto schedule = [&](double time) {
-    SimEvent e;
-    e.time = time;
-    e.node = next_node++;
-    calendar.Schedule(e);
-    heap.Schedule(e);
-  };
-  for (int round = 0; round < 400; ++round) {
-    const std::uint64_t burst = 1 + rng.NextBounded(60);
-    for (std::uint64_t i = 0; i < burst; ++i) {
-      // Mix of near-now, clustered (tie-prone), and far-future times.
+  std::uint64_t next_pre_key = kPreKeyBase;
+  std::uint64_t restores = 0;
+  std::uint64_t ops = 0;
+  // Target population; re-drawn every phase to force resize churn.
+  std::uint64_t target = 64;
+  while (ops < kOps) {
+    if (ops % 50000 == 0) {
+      target = std::uint64_t{1} << (5 + rng.NextBounded(11));  // 32..32768
+    }
+    const bool grow = calendar.size() < target ? rng.NextBounded(4) != 0
+                                               : rng.NextBounded(4) == 0;
+    if (grow || calendar.empty()) {
+      SimEvent e;
+      e.node = next_node++;
       const std::uint64_t shape = rng.NextBounded(10);
-      double t;
-      if (shape < 6) {
-        t = now + static_cast<double>(rng.NextBounded(8)) * 0.25;
+      if (shape < 3) {
+        e.time = now;  // Into the staged day when one is active.
+      } else if (shape < 6) {
+        e.time = now + static_cast<double>(rng.NextBounded(8)) * 0.25;
       } else if (shape < 9) {
-        t = now + static_cast<double>(rng.NextBounded(1000)) * 0.01;
+        e.time = now + static_cast<double>(rng.NextBounded(1000)) * 0.01;
       } else {
-        t = now + 1e6 + static_cast<double>(rng.NextBounded(100));
+        e.time = now + 1e6 + static_cast<double>(rng.NextBounded(100));
       }
-      schedule(t);
+      if (rng.NextBounded(8) == 0) {
+        e.seq = next_pre_key++;
+        calendar.SchedulePreKeyed(e);
+        oracle.SchedulePreKeyed(e);
+      } else {
+        calendar.Schedule(e);
+        oracle.Schedule(e);
+      }
+    } else {
+      ExpectSamePop(calendar, oracle, now);
+      if (HasFatalFailure()) return;
     }
-    const std::uint64_t pops = rng.NextBounded(burst + 8);
-    for (std::uint64_t i = 0; i < pops && !calendar.empty(); ++i) {
-      ASSERT_FALSE(heap.empty());
-      ASSERT_DOUBLE_EQ(calendar.NextTime(), heap.NextTime());
-      const SimEvent a = calendar.Pop();
-      const SimEvent b = heap.Pop();
-      ASSERT_EQ(a.time, b.time);
-      ASSERT_EQ(a.seq, b.seq);
-      ASSERT_EQ(a.node, b.node);
-      now = a.time;
+    ASSERT_EQ(calendar.size(), oracle.size());
+    if (++ops % (std::uint64_t{1} << 17) == 0) {
+      const std::vector<SimEvent> snapshot = calendar.SnapshotEvents();
+      const std::vector<SimEvent> expected = oracle.SnapshotEvents();
+      ASSERT_EQ(snapshot.size(), expected.size());
+      std::vector<SimEvent> queue_keyed;
+      CalendarQueue restored;
+      for (std::size_t i = 0; i < snapshot.size(); ++i) {
+        ASSERT_EQ(snapshot[i].seq, expected[i].seq) << i;
+        ASSERT_EQ(snapshot[i].node, expected[i].node) << i;
+        if (snapshot[i].seq < kPreKeyBase) queue_keyed.push_back(snapshot[i]);
+      }
+      restored.RestorePending(queue_keyed, calendar.next_seq());
+      for (const SimEvent& e : snapshot) {
+        if (e.seq >= kPreKeyBase) restored.SchedulePreKeyed(e);
+      }
+      calendar = std::move(restored);
+      ++restores;
     }
   }
+  EXPECT_GE(restores, 9u);
+  EXPECT_GT(calendar.resizes(), 0u);
   while (!calendar.empty()) {
-    ASSERT_FALSE(heap.empty());
-    const SimEvent a = calendar.Pop();
-    const SimEvent b = heap.Pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.seq, b.seq);
-    ASSERT_EQ(a.node, b.node);
+    ExpectSamePop(calendar, oracle, now);
+    if (HasFatalFailure()) return;
   }
-  EXPECT_TRUE(heap.empty());
+  EXPECT_TRUE(oracle.empty());
 }
 
 // --- Death tests: empty-queue access and invalid times -----------------
 //
 // NextTime()/Pop() on an empty queue and non-finite or negative
-// Schedule() times are programming errors; both engines must abort
-// loudly instead of silently corrupting delivery order (a NaN breaks
-// the comparator's strict weak ordering; empty access was UB).
+// Schedule() times are programming errors; the queue must abort loudly
+// instead of silently corrupting delivery order (a NaN breaks the
+// comparator's strict weak ordering; empty access was UB).
 
 using EngineQueueDeathTest = EngineQueueTest;
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, EngineQueueDeathTest,
-                         ::testing::Values(SimEngine::kCalendar,
-                                           SimEngine::kHeapReference),
+                         ::testing::Values(QueueKind::kCalendar,
+                                           QueueKind::kHeapReference),
                          [](const auto& info) {
-                           return info.param == SimEngine::kCalendar
+                           return info.param == QueueKind::kCalendar
                                       ? "Calendar"
                                       : "HeapReference";
                          });
 
 TEST_P(EngineQueueDeathTest, PopOnEmptyAborts) {
-  SimEventQueue q(GetParam());
-  EXPECT_DEATH(q.Pop(), "SPPNET_CHECK failed");
-  SimEvent e;
-  e.time = 1.0;
-  q.Schedule(e);
-  q.Pop();
-  EXPECT_DEATH(q.Pop(), "SPPNET_CHECK failed");  // Drained, not just new.
+  WithQueue(GetParam(), [](auto& q) {
+    EXPECT_DEATH(q.Pop(), "SPPNET_CHECK failed");
+    SimEvent e;
+    e.time = 1.0;
+    q.Schedule(e);
+    q.Pop();
+    EXPECT_DEATH(q.Pop(), "SPPNET_CHECK failed");  // Drained, not just new.
+  });
 }
 
 TEST_P(EngineQueueDeathTest, NextTimeOnEmptyAborts) {
-  SimEventQueue q(GetParam());
-  EXPECT_DEATH(q.NextTime(), "SPPNET_CHECK failed");
+  WithQueue(GetParam(), [](auto& q) {
+    EXPECT_DEATH(q.NextTime(), "SPPNET_CHECK failed");
+  });
 }
 
 TEST_P(EngineQueueDeathTest, ScheduleRejectsNonFiniteAndNegativeTimes) {
-  SimEventQueue q(GetParam());
-  SimEvent e;
-  e.time = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_DEATH(q.Schedule(e), "isfinite");
-  e.time = std::numeric_limits<double>::infinity();
-  EXPECT_DEATH(q.Schedule(e), "isfinite");
-  e.time = -std::numeric_limits<double>::infinity();
-  EXPECT_DEATH(q.Schedule(e), "isfinite");
-  e.time = -1e-9;
-  EXPECT_DEATH(q.Schedule(e), "time >= 0");
-  // The largest finite double is legal — clamped into the final
-  // calendar day, not overflowed.
-  e.time = std::numeric_limits<double>::max();
-  q.Schedule(e);
-  EXPECT_DOUBLE_EQ(q.Pop().time, std::numeric_limits<double>::max());
+  WithQueue(GetParam(), [](auto& q) {
+    SimEvent e;
+    e.time = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(q.Schedule(e), "isfinite");
+    e.time = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(q.Schedule(e), "isfinite");
+    e.time = -std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(q.Schedule(e), "isfinite");
+    e.time = -1e-9;
+    EXPECT_DEATH(q.Schedule(e), "time >= 0");
+    // The largest finite double is legal — clamped into the final
+    // calendar day, not overflowed.
+    e.time = std::numeric_limits<double>::max();
+    q.Schedule(e);
+    EXPECT_DOUBLE_EQ(q.Pop().time, std::numeric_limits<double>::max());
+  });
 }
 
 // --- Calendar-specific behaviour ---------------------------------------
@@ -454,10 +565,10 @@ TEST(CalendarQueueTest, StationaryPopulationRecalibratesWidth) {
   // A stationary population never trips the size-based thresholds, so
   // the periodic recalibration is the only path to fix a badly seeded
   // width (default 0.25 s vs ~50 s observed gaps here). Mirror every
-  // operation against the reference heap to show the recalibration
-  // resize leaves the pop stream untouched.
+  // operation against the heap oracle to show the recalibration resize
+  // leaves the pop stream untouched.
   CalendarQueue q;
-  EventQueue ref;
+  HeapReference ref;
   Rng rng(808);
   double now = 0.0;
   const double initial_width = q.bucket_width_seconds();

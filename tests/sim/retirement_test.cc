@@ -240,7 +240,7 @@ TEST_P(ExactRetirementTest, CheckpointHoldsNoRetiredRoot) {
     Rng scratch(0);
     GetRng(*r, scratch);
     r->GetDouble();
-    SimState section(SimStateBackend::kDense, instance.NumClusters());
+    SimState section(instance.NumClusters());
     ASSERT_TRUE(section.LoadFrom(*r));
     const auto counts = sim.InFlightCounts();
     std::uint64_t claimed = 0;

@@ -3,8 +3,7 @@
 // discipline (sim/sharded_sim.h, DESIGN.md §12) must be *bitwise*
 // indistinguishable from its own sequential reference — the S=1, T=1
 // run of the same discipline — for every shard count, every thread
-// count, both event-queue engines, and any partitioning of the run into
-// RunUntil windows. Every scenario of the existing equivalence matrix
+// count, and any partitioning of the run into RunUntil windows. Every scenario of the existing equivalence matrix
 // (PLOD/complete x flood/ring/walk x churn x faults x adaptive) runs
 // across S in {1,2,3,8} x T in {1,2,8}, asserts the SimReports
 // bit-identical, asserts the shard-invariant obs instruments identical
@@ -184,13 +183,11 @@ struct ShardedRun {
 };
 
 ShardedRun RunSharded(const Scenario& c, std::size_t num_shards,
-                      std::size_t num_threads,
-                      SimEngine engine = SimEngine::kCalendar) {
+                      std::size_t num_threads) {
   const ModelInputs inputs = ModelInputs::Default();
   Rng rng(c.instance_seed);
   const NetworkInstance instance = GenerateInstance(c.config, inputs, rng);
   SimOptions options = c.options;
-  options.engine = engine;
   options.shards.num_shards = num_shards;
   options.shards.num_threads = num_threads;
   MetricsRegistry metrics;
@@ -238,12 +235,6 @@ TEST_P(ShardedEquivalenceTest, MatrixBitIdenticalAndPinnedToGolden) {
     EXPECT_EQ(run.report.final_ttl, reference.report.final_ttl);
     EXPECT_EQ(run.metrics, reference.metrics);
   }
-
-  // The discipline sits above the event-queue engine: the heap
-  // reference queue must produce the identical run.
-  const ShardedRun heap = RunSharded(c, 2, 2, SimEngine::kHeapReference);
-  EXPECT_EQ(ReportDigest(heap.report), reference_digest) << c.name;
-  EXPECT_EQ(heap.metrics, reference.metrics) << c.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, ShardedEquivalenceTest,

@@ -1,12 +1,13 @@
-// Unit coverage for the dense per-query state backend: the FlatMap64
-// open-addressing table in isolation, and SimState's dense vs
-// map-reference backends held to identical observable semantics op by
-// op (the whole-simulator version of this contract lives in
+// Unit coverage for the per-query state: the FlatMap64 open-addressing
+// table in isolation, and SimState held op by op to explicit expected
+// values and to a checkpoint-restored copy of itself (the
+// whole-simulator version of these contracts is the golden digests in
 // engine_equivalence_test.cc).
 
 #include "sppnet/sim/sim_state.h"
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -101,87 +102,32 @@ TEST(FlatMap64Test, AdversarialKeysCollideWithoutLoss) {
   }
 }
 
-// --- SimState backend parity --------------------------------------------
+// --- SimState: explicit expectations and restore parity -----------------
 //
-// Drive both backends through the same operation sequence and assert
-// every observable return value matches. The simulator relies on this
-// parity for the bitwise engine-equivalence goldens; these tests localize
-// a violation to the specific operation instead of a whole-run digest.
+// Each test drives one state through an operation sequence and checks
+// its reads against explicit expected values, then holds a
+// checkpoint-restored copy of the state to the same reads and the same
+// saved bytes — parity between a live state and its restore. These
+// localize a violation to one operation instead of a whole-run digest.
 
-struct BackendPair {
-  SimState dense{SimStateBackend::kDense, 8};
-  SimState map{SimStateBackend::kMapReference, 8};
-};
-
-TEST(SimStateParityTest, MarkSeenAndUpstream) {
-  BackendPair s;
-  Rng rng(11);
-  for (int i = 0; i < 2000; ++i) {
-    const std::size_t cluster = rng.NextBounded(8);
-    const std::uint64_t qid = rng.NextBounded(300);
-    const auto upstream = static_cast<std::uint32_t>(rng.NextBounded(50));
-    ASSERT_EQ(s.dense.MarkSeen(cluster, qid, upstream),
-              s.map.MarkSeen(cluster, qid, upstream));
-    const std::uint32_t* du = s.dense.Upstream(cluster, qid);
-    const std::uint32_t* mu = s.map.Upstream(cluster, qid);
-    ASSERT_NE(du, nullptr);
-    ASSERT_NE(mu, nullptr);
-    ASSERT_EQ(*du, *mu);  // First writer wins in both backends.
-  }
-  EXPECT_EQ(s.dense.duplicate_entries(), s.map.duplicate_entries());
-  EXPECT_EQ(s.dense.Upstream(0, 999999), nullptr);
-  EXPECT_EQ(s.map.Upstream(0, 999999), nullptr);
-}
-
-TEST(SimStateParityTest, ClaimFindAndRootMapping) {
-  BackendPair s;
-  for (std::uint64_t qid = 0; qid < 200; qid += 2) {
-    QueryState& d = s.dense.Claim(qid);
-    QueryState& m = s.map.Claim(qid);
-    d.user = m.user = static_cast<std::uint32_t>(qid);
-    d.submit_time = m.submit_time = 0.5 * static_cast<double>(qid);
-  }
-  for (std::uint64_t qid = 0; qid < 220; ++qid) {
-    QueryState* d = s.dense.Find(qid);
-    QueryState* m = s.map.Find(qid);
-    ASSERT_EQ(d == nullptr, m == nullptr) << qid;
-    if (d != nullptr) {
-      ASSERT_EQ(d->user, m->user);
-      ASSERT_EQ(d->submit_time, m->submit_time);
-    }
-  }
-  // Root mapping: unmapped qids resolve to themselves; the first
-  // SetRoot binding wins (emplace semantics) in both backends.
-  EXPECT_EQ(s.dense.RootOf(17), 17u);
-  EXPECT_EQ(s.map.RootOf(17), 17u);
-  s.dense.SetRoot(100, 4);
-  s.map.SetRoot(100, 4);
-  s.dense.SetRoot(100, 9);  // Must not overwrite.
-  s.map.SetRoot(100, 9);
-  EXPECT_EQ(s.dense.RootOf(100), 4u);
-  EXPECT_EQ(s.map.RootOf(100), 4u);
-}
-
-// Drives both backends through one seeded mix of duplicate-table
-// visits, root claims and retry-root bindings over qids [0, num_qids).
-void PopulateBoth(BackendPair& s, std::uint64_t num_qids, std::uint64_t seed) {
+// Drives `s` through one seeded mix of duplicate-table visits, root
+// claims and retry-root bindings over qids [0, num_qids): qid % 3 == 2
+// binds to qid - 2, every other qid is a claimed root.
+void Populate(SimState& s, std::uint64_t num_qids, std::uint64_t seed) {
   Rng rng(seed);
   for (std::uint64_t qid = 0; qid < num_qids; ++qid) {
     if (qid % 3 != 2) {
-      QueryState& d = s.dense.Claim(qid);
-      QueryState& m = s.map.Claim(qid);
-      d.user = m.user = static_cast<std::uint32_t>(rng.NextBounded(1000));
-      d.ring_ttl = m.ring_ttl = static_cast<std::uint32_t>(qid % 5);
-      d.submit_time = m.submit_time = 0.25 * static_cast<double>(qid);
+      QueryState& state = s.Claim(qid);
+      state.user = static_cast<std::uint32_t>(rng.NextBounded(1000));
+      state.ring_ttl = static_cast<std::uint32_t>(qid % 5);
+      state.submit_time = 0.25 * static_cast<double>(qid);
     } else {
-      s.dense.SetRoot(qid, qid - 2);
-      s.map.SetRoot(qid, qid - 2);
+      s.SetRoot(qid, qid - 2);
     }
     for (int visit = 0; visit < 4; ++visit) {
       const std::size_t cluster = rng.NextBounded(8);
       const auto upstream = static_cast<std::uint32_t>(rng.NextBounded(50));
-      s.dense.MarkSeen(cluster, qid, upstream);
-      s.map.MarkSeen(cluster, qid, upstream);
+      s.MarkSeen(cluster, qid, upstream);
     }
   }
 }
@@ -220,185 +166,219 @@ std::vector<std::uint8_t> SavedBytes(const SimState& s) {
   return w.Finish();
 }
 
+// Saves `s` and restores the bytes into a fresh state constructed with
+// fewer clusters (the load grows them): the copy must read exactly like
+// `s` over qids [0, num_qids) and re-save the same bytes.
+void ExpectRestoredCopyMatches(SimState& s, std::uint64_t num_qids,
+                               std::size_t num_clusters) {
+  const std::vector<std::uint8_t> bytes = SavedBytes(s);
+  std::optional<CheckpointReader> r =
+      CheckpointReader::Open(bytes, 0x74736554u, 1);
+  ASSERT_TRUE(r.has_value());
+  SimState restored(2);
+  ASSERT_TRUE(restored.LoadFrom(*r));
+  EXPECT_TRUE(r->AtEnd());
+  ExpectSameObservableState(restored, s, num_qids, num_clusters);
+  EXPECT_EQ(SavedBytes(restored), bytes);
+}
+
+TEST(SimStateParityTest, MarkSeenAndUpstream) {
+  SimState s(8);
+  // Expected contents: the first writer of each (cluster, qid) wins.
+  std::map<std::pair<std::size_t, std::uint64_t>, std::uint32_t> expected;
+  Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t cluster = rng.NextBounded(8);
+    const std::uint64_t qid = rng.NextBounded(300);
+    const auto upstream = static_cast<std::uint32_t>(rng.NextBounded(50));
+    const bool fresh =
+        expected.emplace(std::pair{cluster, qid}, upstream).second;
+    ASSERT_EQ(s.MarkSeen(cluster, qid, upstream), fresh);
+    const std::uint32_t* got = s.Upstream(cluster, qid);
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(*got, expected.at({cluster, qid}));
+  }
+  EXPECT_EQ(s.duplicate_entries(), expected.size());
+  for (std::uint64_t qid = 0; qid < 300; ++qid) {
+    for (std::size_t c = 0; c < 8; ++c) {
+      ASSERT_EQ(s.Upstream(c, qid) != nullptr, expected.count({c, qid}) == 1)
+          << qid << "@" << c;
+    }
+  }
+  EXPECT_EQ(s.Upstream(0, 999999), nullptr);
+  ExpectRestoredCopyMatches(s, 300, 8);
+}
+
+TEST(SimStateParityTest, ClaimFindAndRootMapping) {
+  SimState s(8);
+  for (std::uint64_t qid = 0; qid < 200; qid += 2) {
+    QueryState& state = s.Claim(qid);
+    state.user = static_cast<std::uint32_t>(qid);
+    state.submit_time = 0.5 * static_cast<double>(qid);
+  }
+  for (std::uint64_t qid = 0; qid < 220; ++qid) {
+    const QueryState* state = s.Find(qid);
+    ASSERT_EQ(state != nullptr, qid % 2 == 0 && qid < 200) << qid;
+    if (state != nullptr) {
+      ASSERT_EQ(state->user, qid);
+      ASSERT_EQ(state->submit_time, 0.5 * static_cast<double>(qid));
+    }
+  }
+  // Root mapping: unmapped qids resolve to themselves; the first
+  // SetRoot binding wins.
+  EXPECT_EQ(s.RootOf(17), 17u);
+  s.SetRoot(100, 4);
+  s.SetRoot(100, 9);  // Must not overwrite.
+  EXPECT_EQ(s.RootOf(100), 4u);
+  ExpectRestoredCopyMatches(s, 220, 8);
+}
+
 TEST(SimStateParityTest, RetireBelowDropsOnlyRetiredQids) {
-  BackendPair s;
-  PopulateBoth(s, 120, 41);
-  s.dense.RetireBelow(40);
-  s.map.RetireBelow(40);
-  EXPECT_EQ(s.dense.retire_floor(), 40u);
-  ExpectSameObservableState(s.dense, s.map, 120, 8);
+  SimState s(8);
+  Populate(s, 120, 41);
+  ExpectRestoredCopyMatches(s, 120, 8);
+  s.RetireBelow(40);
+  EXPECT_EQ(s.retire_floor(), 40u);
   for (std::uint64_t qid = 0; qid < 40; ++qid) {
     for (std::size_t c = 0; c < 8; ++c) {
-      ASSERT_EQ(s.dense.Upstream(c, qid), nullptr) << qid;
+      ASSERT_EQ(s.Upstream(c, qid), nullptr) << qid;
     }
-    ASSERT_EQ(s.dense.Find(qid), nullptr) << qid;
-    ASSERT_EQ(s.dense.RootOf(qid), qid) << qid;  // Mapping gone: identity.
+    ASSERT_EQ(s.Find(qid), nullptr) << qid;
+    ASSERT_EQ(s.RootOf(qid), qid) << qid;  // Mapping gone: identity.
   }
   // Everything at or above the floor survives: claimed roots stay
   // claimed, retry bindings still resolve.
   for (std::uint64_t qid = 40; qid < 120; ++qid) {
     if (qid % 3 != 2) {
-      ASSERT_NE(s.dense.Find(qid), nullptr) << qid;
+      ASSERT_NE(s.Find(qid), nullptr) << qid;
+      ASSERT_EQ(s.Find(qid)->submit_time, 0.25 * static_cast<double>(qid));
     } else {
-      ASSERT_EQ(s.dense.RootOf(qid), qid - 2) << qid;
+      ASSERT_EQ(s.RootOf(qid), qid - 2) << qid;
     }
   }
   // The historical insert tally is not rewound by retirement.
-  BackendPair fresh;
-  PopulateBoth(fresh, 120, 41);
-  EXPECT_EQ(s.dense.duplicate_entries(), fresh.dense.duplicate_entries());
+  SimState fresh(8);
+  Populate(fresh, 120, 41);
+  EXPECT_EQ(s.duplicate_entries(), fresh.duplicate_entries());
 }
 
 TEST(SimStateParityTest, RetireBelowIsMonotone) {
-  BackendPair s;
-  PopulateBoth(s, 100, 42);
-  s.dense.RetireBelow(50);
-  s.map.RetireBelow(50);
-  const std::vector<std::uint8_t> at_fifty = SavedBytes(s.dense);
-  // A lower or equal floor is a no-op in both backends.
+  SimState s(8);
+  Populate(s, 100, 42);
+  s.RetireBelow(50);
+  const std::vector<std::uint8_t> at_fifty = SavedBytes(s);
+  // A lower or equal floor is a no-op.
   for (const std::uint64_t floor : {std::uint64_t{20}, std::uint64_t{50}}) {
-    s.dense.RetireBelow(floor);
-    s.map.RetireBelow(floor);
-    EXPECT_EQ(s.dense.retire_floor(), 50u);
-    EXPECT_EQ(s.map.retire_floor(), 50u);
-    EXPECT_EQ(SavedBytes(s.dense), at_fifty);
-    EXPECT_EQ(SavedBytes(s.map), at_fifty);
+    s.RetireBelow(floor);
+    EXPECT_EQ(s.retire_floor(), 50u);
+    EXPECT_EQ(SavedBytes(s), at_fifty);
   }
+  // A higher floor still advances; 51 also drops qid 50, the last
+  // binding to a root below the floor, so the state restores.
+  s.RetireBelow(51);
+  EXPECT_EQ(s.retire_floor(), 51u);
+  EXPECT_EQ(s.RootOf(50), 50u);
+  EXPECT_EQ(s.RootOf(53), 51u);
   // Fresh qids past the floor are still addressable after the no-ops.
-  EXPECT_TRUE(s.dense.MarkSeen(3, 100, 7));
-  EXPECT_TRUE(s.map.MarkSeen(3, 100, 7));
-  ExpectSameObservableState(s.dense, s.map, 101, 8);
+  EXPECT_TRUE(s.MarkSeen(3, 100, 7));
+  ASSERT_NE(s.Upstream(3, 100), nullptr);
+  EXPECT_EQ(*s.Upstream(3, 100), 7u);
+  ExpectRestoredCopyMatches(s, 101, 8);
 }
 
 TEST(SimStateParityTest, EnsureClustersKeepsExistingEntries) {
-  SimState dense(SimStateBackend::kDense, 4);
-  SimState map(SimStateBackend::kMapReference, 4);
+  SimState s(4);
   for (std::uint64_t qid = 0; qid < 30; ++qid) {
-    const std::size_t cluster = qid % 4;
-    const auto upstream = static_cast<std::uint32_t>(qid + 1);
-    dense.MarkSeen(cluster, qid, upstream);
-    map.MarkSeen(cluster, qid, upstream);
+    s.MarkSeen(qid % 4, qid, static_cast<std::uint32_t>(qid + 1));
   }
   // Growth (an in-sim split promoting new super-peers), then a smaller
   // request, which must be a no-op.
-  dense.EnsureClusters(16);
-  map.EnsureClusters(16);
-  dense.EnsureClusters(2);
-  map.EnsureClusters(2);
+  s.EnsureClusters(16);
+  s.EnsureClusters(2);
   for (std::uint64_t qid = 0; qid < 30; ++qid) {
-    ASSERT_NE(dense.Upstream(qid % 4, qid), nullptr) << qid;
-    ASSERT_EQ(*dense.Upstream(qid % 4, qid), qid + 1) << qid;
+    ASSERT_NE(s.Upstream(qid % 4, qid), nullptr) << qid;
+    ASSERT_EQ(*s.Upstream(qid % 4, qid), qid + 1) << qid;
   }
+  // The grown cluster ids are addressable and start empty.
   for (std::uint64_t qid = 0; qid < 30; ++qid) {
-    const std::size_t cluster = 4 + qid % 12;
-    ASSERT_EQ(dense.MarkSeen(cluster, qid, 99), map.MarkSeen(cluster, qid, 99));
+    ASSERT_TRUE(s.MarkSeen(4 + qid % 12, qid, 99)) << qid;
   }
-  ExpectSameObservableState(dense, map, 30, 16);
-}
-
-TEST(SimStateParityTest, SaveBytesAreBackendPortable) {
-  BackendPair s;
-  PopulateBoth(s, 200, 43);
-  EXPECT_EQ(SavedBytes(s.dense), SavedBytes(s.map));
-  s.dense.RetireBelow(75);
-  s.map.RetireBelow(75);
-  EXPECT_EQ(SavedBytes(s.dense), SavedBytes(s.map));
-}
-
-TEST(SimStateParityTest, LoadRestoresUnderEitherBackend) {
-  BackendPair s;
-  PopulateBoth(s, 150, 44);
-  s.dense.RetireBelow(30);
-  s.map.RetireBelow(30);
-  const std::vector<std::uint8_t> bytes = SavedBytes(s.dense);
-  for (const SimStateBackend backend :
-       {SimStateBackend::kDense, SimStateBackend::kMapReference}) {
-    SCOPED_TRACE(backend == SimStateBackend::kDense ? "dense" : "map");
-    std::optional<CheckpointReader> r =
-        CheckpointReader::Open(bytes, 0x74736554u, 1);
-    ASSERT_TRUE(r.has_value());
-    // Constructed with fewer clusters than saved: the load grows them.
-    SimState restored(backend, 2);
-    ASSERT_TRUE(restored.LoadFrom(*r));
-    EXPECT_TRUE(r->AtEnd());
-    ExpectSameObservableState(restored, s.map, 150, 8);
-    EXPECT_EQ(SavedBytes(restored), bytes);
-  }
+  EXPECT_EQ(s.duplicate_entries(), 60u);
+  // The restored copy keeps all 16 cluster ids addressable.
+  ExpectRestoredCopyMatches(s, 30, 16);
 }
 
 TEST(SimStateParityTest, ExactRetirementReleasesAtZeroCount) {
   // One root with two in-flight events and a retry qid bound to it; the
-  // retry holds the root until it retires itself. Both backends drop
-  // each qid's duplicate entries, state and binding exactly when its
-  // count reaches zero, and agree on every read along the way.
-  BackendPair s;
-  for (SimState* state : {&s.dense, &s.map}) {
-    const std::uint64_t root = state->Mint();
-    const std::uint64_t retry = state->Mint();
-    ASSERT_EQ(root, 0u);
-    ASSERT_EQ(retry, 1u);
-    state->Claim(root).submit_time = 1.0;
-    state->SetRoot(root, root);
-    state->AddRef(root);
-    state->AddRef(root);
-    state->MarkSeen(2, root, 7);
-    state->SetRoot(retry, root);
-    state->AddRef(retry);
-    state->MarkSeen(3, retry, 8);
-    EXPECT_EQ(state->live_roots(), 1u);
-    state->RetireIfIdle(root, 1.5);  // Still counted: a no-op.
-    state->Release(root, 2.0);
-    state->Release(root, 2.5);
-    // The bound retry still holds the root.
-    ASSERT_NE(state->Find(root), nullptr);
-    ASSERT_NE(state->Upstream(2, root), nullptr);
-    EXPECT_EQ(state->InFlightCounts(),
-              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
-                  {root, 1}, {retry, 1}}));
-    state->Release(retry, 4.0);
-    EXPECT_EQ(state->Find(root), nullptr);
-    EXPECT_EQ(state->Upstream(2, root), nullptr);
-    EXPECT_EQ(state->Upstream(3, retry), nullptr);
-    EXPECT_EQ(state->RootOf(retry), retry);
-    EXPECT_EQ(state->live_roots(), 0u);
-    EXPECT_TRUE(state->InFlightCounts().empty());
-    EXPECT_EQ(state->longest_lifetime_seconds(), 3.0);
-    EXPECT_EQ(state->retire_floor(), 2u);
-  }
-  EXPECT_EQ(SavedBytes(s.dense), SavedBytes(s.map));
+  // retry holds the root until it retires itself. Each qid's duplicate
+  // entries, state and binding drop exactly when its count reaches zero.
+  SimState s(8);
+  const std::uint64_t root = s.Mint();
+  const std::uint64_t retry = s.Mint();
+  ASSERT_EQ(root, 0u);
+  ASSERT_EQ(retry, 1u);
+  s.Claim(root).submit_time = 1.0;
+  s.SetRoot(root, root);
+  s.AddRef(root);
+  s.AddRef(root);
+  s.MarkSeen(2, root, 7);
+  s.SetRoot(retry, root);
+  s.AddRef(retry);
+  s.MarkSeen(3, retry, 8);
+  EXPECT_EQ(s.live_roots(), 1u);
+  s.RetireIfIdle(root, 1.5);  // Still counted: a no-op.
+  s.Release(root, 2.0);
+  s.Release(root, 2.5);
+  // The bound retry still holds the root.
+  ASSERT_NE(s.Find(root), nullptr);
+  ASSERT_NE(s.Upstream(2, root), nullptr);
+  EXPECT_EQ(s.RootOf(retry), root);
+  EXPECT_EQ(s.InFlightCounts(),
+            (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                {root, 1}, {retry, 1}}));
+  ExpectRestoredCopyMatches(s, 2, 8);
+  s.Release(retry, 4.0);
+  EXPECT_EQ(s.Find(root), nullptr);
+  EXPECT_EQ(s.Upstream(2, root), nullptr);
+  EXPECT_EQ(s.Upstream(3, retry), nullptr);
+  EXPECT_EQ(s.RootOf(retry), retry);
+  EXPECT_EQ(s.live_roots(), 0u);
+  EXPECT_TRUE(s.InFlightCounts().empty());
+  EXPECT_EQ(s.longest_lifetime_seconds(), 3.0);
+  EXPECT_EQ(s.retire_floor(), 2u);
+  EXPECT_EQ(s.duplicate_entries(), 2u);  // Historical: not rewound.
 }
 
 TEST(SimStateParityTest, OutOfOrderRetirementKeepsTheWindowBounded) {
   // Queries end out of submission order. Every retired qid is released
   // at once, and the floor advances over the retired prefix, so a long
   // stream of short-lived queries behind one long-lived root keeps only
-  // the window from that root on — and both backends agree throughout.
-  BackendPair s;
+  // the window from that root on.
+  SimState s(8);
   constexpr std::uint64_t kQueries = 5000;
-  for (SimState* state : {&s.dense, &s.map}) {
-    const std::uint64_t anchor = state->Mint();
-    state->Claim(anchor);
-    state->AddRef(anchor);
-    for (std::uint64_t i = 1; i < kQueries; ++i) {
-      const std::uint64_t qid = state->Mint();
-      state->Claim(qid).submit_time = static_cast<double>(i);
-      state->AddRef(qid);
-      state->MarkSeen(i % 8, qid, 1);
-      state->Release(qid, static_cast<double>(i) + 0.25);
-    }
-    EXPECT_EQ(state->live_roots(), 1u);
-    EXPECT_EQ(state->retire_floor(), 0u);  // Held by the anchor.
-    EXPECT_EQ(state->Find(kQueries / 2), nullptr);
-    state->Release(anchor, static_cast<double>(kQueries));
-    EXPECT_EQ(state->retire_floor(), kQueries);
-    EXPECT_EQ(state->live_roots(), 0u);
+  const std::uint64_t anchor = s.Mint();
+  s.Claim(anchor);
+  s.AddRef(anchor);
+  for (std::uint64_t i = 1; i < kQueries; ++i) {
+    const std::uint64_t qid = s.Mint();
+    s.Claim(qid).submit_time = static_cast<double>(i);
+    s.AddRef(qid);
+    s.MarkSeen(i % 8, qid, 1);
+    s.Release(qid, static_cast<double>(i) + 0.25);
   }
-  EXPECT_EQ(s.dense.longest_lifetime_seconds(),
-            static_cast<double>(kQueries));
-  EXPECT_EQ(SavedBytes(s.dense), SavedBytes(s.map));
-  // The dense slot arrays compacted: nothing of the retired window is
-  // still resident beyond the array capacity itself.
-  EXPECT_LT(s.dense.ApproxScratchBytes(), 2u * 1024u * 1024u);
+  EXPECT_EQ(s.live_roots(), 1u);
+  EXPECT_EQ(s.retire_floor(), 0u);  // Held by the anchor.
+  EXPECT_EQ(s.Find(kQueries / 2), nullptr);
+  EXPECT_EQ(s.Upstream((kQueries / 2) % 8, kQueries / 2), nullptr);
+  EXPECT_EQ(s.longest_lifetime_seconds(), 0.25);
+  ExpectRestoredCopyMatches(s, kQueries, 8);
+  s.Release(anchor, static_cast<double>(kQueries));
+  EXPECT_EQ(s.retire_floor(), kQueries);
+  EXPECT_EQ(s.live_roots(), 0u);
+  EXPECT_EQ(s.longest_lifetime_seconds(), static_cast<double>(kQueries));
+  // The slot arrays compacted: nothing of the retired window is still
+  // resident beyond the array capacity itself.
+  EXPECT_LT(s.ApproxScratchBytes(), 2u * 1024u * 1024u);
 }
 
 TEST(SimStateTest, LoadRejectsMalformedPayloads) {
@@ -523,114 +503,96 @@ TEST(SimStateTest, LoadRejectsMalformedPayloads) {
     w.PutU64(0);
     payloads.emplace_back("an absurd cluster count", w.Finish());
   }
-  for (const SimStateBackend backend :
-       {SimStateBackend::kDense, SimStateBackend::kMapReference}) {
-    for (const auto& [what, bytes] : payloads) {
-      SCOPED_TRACE(what);
-      std::optional<CheckpointReader> r =
-          CheckpointReader::Open(bytes, kMagic, 1);
-      ASSERT_TRUE(r.has_value());
-      SimState state(backend, 4);
-      EXPECT_FALSE(state.LoadFrom(*r));
-    }
-    // The same framing with in-range ids loads: the payloads above fail
-    // on their one bad field, not on their shape.
-    CheckpointWriter w(kMagic, 1);
-    header(w, 2, 4);
-    w.PutU64(1);
-    w.PutU64(7);
-    w.PutU64(3);
-    w.PutU32(0);
-    w.PutU64(1);
-    put_state(w, 3);
-    w.PutU64(0);
-    const std::vector<std::uint8_t> bytes = w.Finish();
-    std::optional<CheckpointReader> r = CheckpointReader::Open(bytes, kMagic, 1);
+  for (const auto& [what, bytes] : payloads) {
+    SCOPED_TRACE(what);
+    std::optional<CheckpointReader> r =
+        CheckpointReader::Open(bytes, kMagic, 1);
     ASSERT_TRUE(r.has_value());
-    SimState state(backend, 4);
-    EXPECT_TRUE(state.LoadFrom(*r));
+    SimState state(4);
+    EXPECT_FALSE(state.LoadFrom(*r));
   }
+  // The same framing with in-range ids loads: the payloads above fail
+  // on their one bad field, not on their shape.
+  CheckpointWriter w(kMagic, 1);
+  header(w, 2, 4);
+  w.PutU64(1);
+  w.PutU64(7);
+  w.PutU64(3);
+  w.PutU32(0);
+  w.PutU64(1);
+  put_state(w, 3);
+  w.PutU64(0);
+  const std::vector<std::uint8_t> bytes = w.Finish();
+  std::optional<CheckpointReader> r = CheckpointReader::Open(bytes, kMagic, 1);
+  ASSERT_TRUE(r.has_value());
+  SimState state(4);
+  EXPECT_TRUE(state.LoadFrom(*r));
 }
 
 TEST(SimStateTest, EmptyDenseStateCostsNothingPerCluster) {
-  // The dense backend keys its tables by qid and keeps no per-cluster
-  // container, so an idle state costs zero bytes however many clusters
-  // it addresses; the reference maps hold one table per cluster.
-  SimState small(SimStateBackend::kDense, 8);
-  SimState large(SimStateBackend::kDense, 100000);
+  // The tables are keyed by qid with no per-cluster container, so an
+  // idle state costs zero bytes however many clusters it addresses.
+  SimState small(8);
+  SimState large(100000);
   EXPECT_EQ(small.ApproxScratchBytes(), 0u);
   EXPECT_EQ(large.ApproxScratchBytes(), 0u);
   large.EnsureClusters(200000);
   EXPECT_EQ(large.ApproxScratchBytes(), 0u);
-  SimState map_small(SimStateBackend::kMapReference, 8);
-  SimState map_large(SimStateBackend::kMapReference, 100000);
-  EXPECT_GT(map_large.ApproxScratchBytes(), map_small.ApproxScratchBytes());
 }
 
 TEST(SimStateTest, ScratchBytesTrackPopulation) {
-  BackendPair s;
+  SimState s(8);
   Rng rng(21);
   for (std::uint64_t qid = 0; qid < 5000; ++qid) {
-    s.dense.Claim(qid);
-    s.map.Claim(qid);
-    s.dense.SetRoot(qid, qid);
-    s.map.SetRoot(qid, qid);
+    s.Claim(qid);
+    s.SetRoot(qid, qid);
     for (int c = 0; c < 3; ++c) {
       const std::size_t cluster = rng.NextBounded(8);
       const auto up = static_cast<std::uint32_t>(rng.NextBounded(40));
-      s.dense.MarkSeen(cluster, qid, up);
-      s.map.MarkSeen(cluster, qid, up);
+      s.MarkSeen(cluster, qid, up);
     }
   }
-  // Absolute bytes are layout-dependent; what must hold is that both
-  // estimates are positive and grew with the population. (Whether dense
-  // beats the maps is workload-dependent — the per-node figures for the
-  // real simulator workload are measured in bench/sim_scale.)
-  EXPECT_GT(s.dense.ApproxScratchBytes(), 100u * 1024u);
-  EXPECT_GT(s.map.ApproxScratchBytes(), 100u * 1024u);
+  // Absolute bytes are layout-dependent; what must hold is that the
+  // estimate grew with the population (the per-node figures for the
+  // real simulator workload are measured in bench/sim_scale).
+  EXPECT_GT(s.ApproxScratchBytes(), 100u * 1024u);
 }
 
 TEST(SimStateDeathTest, DenseClaimRejectsReclaim) {
   // Root qids are claimed exactly once per submission; a double claim is
-  // a qid-allocation bug the dense backend traps.
-  SimState dense(SimStateBackend::kDense, 2);
-  dense.Claim(5);
-  EXPECT_DEATH(dense.Claim(5), "claimed twice");
+  // a qid-allocation bug the state traps.
+  SimState state(2);
+  state.Claim(5);
+  EXPECT_DEATH(state.Claim(5), "claimed twice");
 }
 
 TEST(SimStateDeathTest, WritesBelowTheRetirementFloorAbort) {
-  // A write for a retired qid means the retention horizon was violated;
-  // both backends trap it rather than silently re-inserting.
-  for (const SimStateBackend backend :
-       {SimStateBackend::kDense, SimStateBackend::kMapReference}) {
-    SimState state(backend, 4);
-    state.MarkSeen(0, 12, 1);
-    state.RetireBelow(10);
-    EXPECT_DEATH(state.MarkSeen(1, 5, 2), "qid >= qid_base_");
-    EXPECT_DEATH(state.Claim(5), "qid >= qid_base_");
-    EXPECT_DEATH(state.SetRoot(5, 1), "qid >= qid_base_");
-  }
+  // A write for a retired qid means an in-flight count was lost; the
+  // state traps it rather than silently re-inserting.
+  SimState state(4);
+  state.MarkSeen(0, 12, 1);
+  state.RetireBelow(10);
+  EXPECT_DEATH(state.MarkSeen(1, 5, 2), "qid >= qid_base_");
+  EXPECT_DEATH(state.Claim(5), "qid >= qid_base_");
+  EXPECT_DEATH(state.SetRoot(5, 1), "qid >= qid_base_");
 }
 
 TEST(SimStateDeathTest, WritesToARetiredQidAboveTheFloorAbort) {
   // Exact retirement releases qids out of order, so a retired qid can
   // sit above the floor; a write to one must fail as loudly as a write
-  // below it, under both backends.
-  for (const SimStateBackend backend :
-       {SimStateBackend::kDense, SimStateBackend::kMapReference}) {
-    SimState state(backend, 4);
-    const std::uint64_t held = state.Mint();
-    const std::uint64_t done = state.Mint();
-    state.AddRef(held);
-    state.Claim(done);
-    state.RetireIfIdle(done, 1.0);
-    ASSERT_EQ(state.retire_floor(), 0u);
-    ASSERT_EQ(state.Find(done), nullptr);
-    EXPECT_DEATH(state.MarkSeen(1, done, 2), "retired qid");
-    EXPECT_DEATH(state.Claim(done), "retire");
-    EXPECT_DEATH(state.SetRoot(done, held), "retired qid");
-    EXPECT_DEATH(state.AddRef(done), "retired qid");
-  }
+  // below it.
+  SimState state(4);
+  const std::uint64_t held = state.Mint();
+  const std::uint64_t done = state.Mint();
+  state.AddRef(held);
+  state.Claim(done);
+  state.RetireIfIdle(done, 1.0);
+  ASSERT_EQ(state.retire_floor(), 0u);
+  ASSERT_EQ(state.Find(done), nullptr);
+  EXPECT_DEATH(state.MarkSeen(1, done, 2), "retired qid");
+  EXPECT_DEATH(state.Claim(done), "retire");
+  EXPECT_DEATH(state.SetRoot(done, held), "retired qid");
+  EXPECT_DEATH(state.AddRef(done), "retired qid");
 }
 
 }  // namespace
