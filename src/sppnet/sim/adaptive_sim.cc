@@ -571,15 +571,39 @@ bool AdaptiveController::LoadFrom(CheckpointReader& r) {
   }
   live_clusters_ = static_cast<std::size_t>(r.GetU64());
   rounds_completed_ = r.GetU64();
-  return r.ok() && node_cluster_.size() == files_.size() &&
-         is_head_.size() == files_.size() && head_.size() == dead_.size() &&
-         members_.size() == head_.size() && adj_.size() == head_.size() &&
-         cooldown_.size() == head_.size() &&
-         over_streak_.size() == head_.size() &&
-         under_streak_.size() == head_.size() &&
-         cap_over_streak_.size() == head_.size() &&
-         files_sum_.size() == head_.size() &&
-         reports_.size() == head_.size();
+  const bool shapes_ok =
+      r.ok() && node_cluster_.size() == files_.size() &&
+      is_head_.size() == files_.size() && head_.size() == dead_.size() &&
+      members_.size() == head_.size() && adj_.size() == head_.size() &&
+      cooldown_.size() == head_.size() &&
+      over_streak_.size() == head_.size() &&
+      under_streak_.size() == head_.size() &&
+      cap_over_streak_.size() == head_.size() &&
+      files_sum_.size() == head_.size() && reports_.size() == head_.size() &&
+      live_clusters_ <= head_.size();
+  if (!shapes_ok) return false;
+  // Every stored id indexes a per-node or per-slot vector somewhere in
+  // a round, so each must be in range: node ids below the node count,
+  // cluster slots below the slot count.
+  const std::size_t nodes = files_.size();
+  const std::size_t slots = head_.size();
+  const auto node_ok = [nodes](std::uint32_t v) { return v < nodes; };
+  const auto slot_ok = [slots](std::uint32_t c) { return c < slots; };
+  if (!std::all_of(node_cluster_.begin(), node_cluster_.end(), slot_ok)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < slots; ++i) {
+    if ((head_[i] != kNoHead && !node_ok(head_[i])) ||
+        !std::all_of(members_[i].begin(), members_[i].end(), node_ok) ||
+        !std::all_of(adj_[i].begin(), adj_[i].end(), slot_ok) ||
+        !std::all_of(reports_[i].begin(), reports_[i].end(),
+                     [&](const NeighborReport& report) {
+                       return slot_ok(report.reporter);
+                     })) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace sppnet
