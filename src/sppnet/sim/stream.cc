@@ -27,8 +27,8 @@ constexpr std::uint32_t kStreamTag = 0x6d727473u;
 
 /// Engine-internal instruments: included in snapshot exports, excluded
 /// from every equivalence digest (the ProtocolMetricsJson contract —
-/// calendar statistics and backend footprints legitimately differ
-/// across engines, backends, and checkpoint restores).
+/// calendar statistics and state footprints legitimately differ
+/// across shard plans and checkpoint restores).
 bool EngineInternal(std::string_view name) {
   return name.starts_with("sim.queue.") || name.starts_with("sim.state.");
 }

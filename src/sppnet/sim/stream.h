@@ -90,8 +90,9 @@ QueryTraceParse ParseQueryTrace(std::string_view text);
 /// digest and the final report are bit-identical to the batch Run()
 /// path for every protocol-relevant observable — restoring a checkpoint
 /// taken after window k and streaming on yields byte-identical
-/// snapshots k+1, k+2, ... across engines, state backends and
-/// parallelism (tests/sim/checkpoint_test.cc pins this).
+/// snapshots k+1, k+2, ... across legacy and sharded restores, shard
+/// plans and trial parallelism (tests/sim/checkpoint_test.cc pins
+/// this).
 class StreamDriver {
  public:
   /// Builds and Start()s the underlying simulator. The instance,
@@ -138,7 +139,7 @@ class StreamDriver {
   /// FNV-1a digest over every emitted snapshot's protocol-relevant
   /// content (window index/boundary, events delta, filtered counter
   /// deltas). The resume-equivalence tests compare this across
-  /// checkpoint cuts, engines and backends.
+  /// checkpoint cuts, shard plans and trial parallelism.
   std::uint64_t snapshot_digest() const { return snapshot_digest_; }
   /// Simulation clock of the underlying simulator (last dispatch time).
   double Now() const;
