@@ -113,6 +113,7 @@ struct BatchResult {
   std::uint64_t levels = 0;
   std::uint64_t frontier_entries = 0;
   std::uint64_t reached = 0;
+  std::uint64_t edge_visits = 0;
   std::uint64_t neighbor_visits = 0;
   std::size_t scratch_bytes = 0;  // Size-based, so parallelism-independent.
   // Wall-clock phase times; report-only.
@@ -290,10 +291,13 @@ class Evaluator {
     const int num_levels = sc.bfs.num_levels();
     const int ttl = config_.ttl;
     // Levels 0..ttl-1 forward the query: `below` collects them up front.
+    // The expand pushed each of their entries over every incident edge;
+    // counting that here keeps the tally the same for both kernels.
     const int forwarding_levels = std::min(ttl, num_levels);
     for (int d = 0; d < forwarding_levels; ++d) {
       for (const BatchLevelEntry& e : sc.bfs.Level(d)) {
         sc.words[e.node].below |= e.word;
+        res.edge_visits += graph.Degree(e.node);
       }
     }
 
@@ -544,13 +548,15 @@ class Evaluator {
     res.neighbor_visits = neighbor_visits;
     // Size-based footprint accounting (capacities depend on worker
     // history, sizes do not — the gauge must be parallelism-invariant):
-    // the kernel's two per-node words, the per-node word record and the
-    // pos_of/idx_of maps, one union slot, position record and pool delta
-    // per reached node, the level lists, the reach lists and one bundle
-    // accumulator per entry of the longest reach list.
+    // the kernel's two per-node words and its next-level bitmap, the
+    // per-node word record and the pos_of/idx_of maps, one union slot,
+    // position record and pool delta per reached node, the level lists,
+    // the reach lists and one bundle accumulator per entry of the longest
+    // reach list.
     res.scratch_bytes =
         n_ * (2 * sizeof(std::uint64_t) + sizeof(NodeWords) +
               2 * sizeof(std::uint32_t)) +
+        WordsForBits(n_) * sizeof(std::uint64_t) +
         m * (sizeof(NodeId) + sizeof(PositionSums) +
              sizeof(std::pair<NodeId, RawLoad>)) +
         static_cast<std::size_t>(frontier_entries) * sizeof(BatchLevelEntry) +
@@ -576,6 +582,7 @@ class Evaluator {
     std::uint64_t levels_total = 0;
     std::uint64_t frontier_total = 0;
     std::uint64_t reached_total = 0;
+    std::uint64_t edge_visits_total = 0;
     std::uint64_t neighbor_visits_total = 0;
     std::size_t scratch_bytes_max = 0;
     double expand_seconds = 0.0;
@@ -595,6 +602,7 @@ class Evaluator {
       levels_total += r.levels;
       frontier_total += r.frontier_entries;
       reached_total += r.reached;
+      edge_visits_total += r.edge_visits;
       neighbor_visits_total += r.neighbor_visits;
       scratch_bytes_max = std::max(scratch_bytes_max, r.scratch_bytes);
       expand_seconds += r.expand_seconds;
@@ -666,6 +674,8 @@ class Evaluator {
       options.metrics->GetCounter("eval.bfs.levels").Increment(levels_total);
       options.metrics->GetCounter("eval.bfs.frontier_entries")
           .Increment(frontier_total);
+      options.metrics->GetCounter("eval.bfs.edge_visits")
+          .Increment(edge_visits_total);
       options.metrics->GetCounter("eval.reached").Increment(reached_total);
       options.metrics->GetCounter("eval.accumulate.neighbor_visits")
           .Increment(neighbor_visits_total);

@@ -87,7 +87,10 @@ void SimState::AdvanceFloor() {
   const std::uint64_t window =
       next_qid_ > qid_base_ ? next_qid_ - qid_base_ : 0;
   if (retired_prefix_ >= 64 && 2 * retired_prefix_ >= window) {
-    RetireBelow(qid_base_ + retired_prefix_);
+    // A live bound qid holds a count on its root, so no survivor of a
+    // fully retired prefix is bound below the new floor: compaction
+    // alone suffices.
+    DropBelow(qid_base_ + retired_prefix_);
   }
 }
 
@@ -104,6 +107,16 @@ SimState::InFlightCounts() const {
 
 void SimState::RetireBelow(std::uint64_t floor) {
   if (floor <= qid_base_) return;
+  DropBelow(floor);
+  // A surviving qid bound to a dropped root reads as unbound, as the
+  // dropped qids themselves do; a binding below the floor could not be
+  // restored from a checkpoint.
+  for (QidTrack& track : track_) {
+    if (track.root != kNoRoot && track.root < floor) track.root = kNoRoot;
+  }
+}
+
+void SimState::DropBelow(std::uint64_t floor) {
   const std::uint64_t drop = floor - qid_base_;
   const std::size_t claimed = static_cast<std::size_t>(std::count_if(
       track_.begin(),

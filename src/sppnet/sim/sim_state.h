@@ -258,8 +258,11 @@ class SimState {
 
   /// Drops every entry (duplicate tables, query states, root mappings,
   /// counts) for qids below `floor` and makes those qids unaddressable.
-  /// Exact retirement advances the floor by itself over the retired
-  /// prefix; an explicit call is for callers that know a prefix is dead.
+  /// A surviving qid bound to a root below `floor` loses its binding, so
+  /// RootOf() returns the qid itself and the state still round-trips
+  /// through SaveTo/LoadFrom. Exact retirement advances the floor by
+  /// itself over the retired prefix; an explicit call is for callers that
+  /// know a prefix is dead.
   /// The floor is monotone — a lower `floor` is a no-op.
   void RetireBelow(std::uint64_t floor);
   /// First qid not known retired: the compacted floor plus the retired
@@ -324,6 +327,9 @@ class SimState {
   std::uint64_t RetireNow(std::uint64_t qid, double now);
   /// Advances the floor over the retired prefix of the qid window.
   void AdvanceFloor();
+  /// RetireBelow without the binding pass: compacts the slot arrays up
+  /// to `floor` (> qid_base_).
+  void DropBelow(std::uint64_t floor);
 
   /// Cluster ids below this are addressable (grown by EnsureClusters).
   std::size_t num_clusters_;

@@ -1,6 +1,8 @@
 #include "sppnet/topology/bfs.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "sppnet/common/check.h"
 
@@ -184,6 +186,17 @@ std::optional<int> MinTtlForFullReach(const Topology& topo, NodeId source,
   return max_depth;
 }
 
+template <typename Emit>
+void BatchedBfs::DrainNextBits(Emit emit) {
+  for (std::size_t w = 0; w < next_bits_.size(); ++w) {
+    for (std::uint64_t bits = std::exchange(next_bits_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      emit(static_cast<NodeId>(
+          w * kBfsWordBits + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+  }
+}
+
 void BatchedBfs::PrepareRun(const Graph& graph,
                             std::span<const NodeId> sources) {
   SPPNET_CHECK(!sources.empty());
@@ -192,6 +205,7 @@ void BatchedBfs::PrepareRun(const Graph& graph,
   if (num_nodes_ != n) {
     visited_.assign(n, 0);
     next_.assign(n, 0);
+    next_bits_.assign(WordsForBits(n), 0);
     num_nodes_ = n;
   } else {
     // Every visited node appears in at least one level entry, so the
@@ -203,15 +217,13 @@ void BatchedBfs::PrepareRun(const Graph& graph,
 
   // Level 0: seed the source bits, then emit one entry per distinct
   // source node (several sources may share a node).
-  touched_.clear();
   for (std::size_t i = 0; i < sources.size(); ++i) {
     const NodeId s = sources[i];
     SPPNET_CHECK(s < n);
-    if (visited_[s] == 0) touched_.push_back(s);
+    MarkNext(s);
     visited_[s] |= std::uint64_t{1} << i;
   }
-  std::sort(touched_.begin(), touched_.end());
-  for (const NodeId s : touched_) entries_.push_back({s, visited_[s]});
+  DrainNextBits([&](NodeId s) { entries_.push_back({s, visited_[s]}); });
   level_offsets_.push_back(entries_.size());
 }
 
@@ -232,7 +244,6 @@ void BatchedBfs::RunBitParallel(const Graph& graph, int max_depth) {
   for (int depth = 0; depth < max_depth; ++depth) {
     const std::size_t begin = level_offsets_[depth];
     const std::size_t end = level_offsets_[depth + 1];
-    touched_.clear();
     for (std::size_t i = begin; i < end; ++i) {
       const NodeId u = entries_[i].node;
       const std::uint64_t w = entries_[i].word;
@@ -240,19 +251,17 @@ void BatchedBfs::RunBitParallel(const Graph& graph, int max_depth) {
         const NodeId v = adjacency[a];
         const std::uint64_t fresh = w & ~visited_[v];
         if (fresh != 0) {
-          if (next_[v] == 0) touched_.push_back(v);
+          MarkNext(v);
           next_[v] |= fresh;
         }
       }
     }
-    if (touched_.empty()) break;
-    std::sort(touched_.begin(), touched_.end());
-    for (const NodeId v : touched_) {
-      const std::uint64_t w = next_[v];
-      next_[v] = 0;
+    DrainNextBits([&](NodeId v) {
+      const std::uint64_t w = std::exchange(next_[v], 0);
       visited_[v] |= w;
       entries_.push_back({v, w});
-    }
+    });
+    if (entries_.size() == end) break;  // Empty level: every flood is done.
     level_offsets_.push_back(entries_.size());
   }
 }
@@ -315,7 +324,7 @@ int BatchedBfs::Depth(std::size_t source_bit, NodeId u) const {
 std::size_t BatchedBfs::MemoryBytes() const {
   return visited_.capacity() * sizeof(std::uint64_t) +
          next_.capacity() * sizeof(std::uint64_t) +
-         touched_.capacity() * sizeof(NodeId) +
+         next_bits_.capacity() * sizeof(std::uint64_t) +
          entries_.capacity() * sizeof(BatchLevelEntry) +
          level_offsets_.capacity() * sizeof(std::size_t) +
          queue_.capacity() * sizeof(std::pair<NodeId, int>);

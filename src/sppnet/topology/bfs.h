@@ -96,10 +96,14 @@ struct BatchLevelEntry {
 ///
 /// The output is a per-depth list of (node, source-word) entries with node
 /// ids ascending within each level — a canonical form that does not depend
-/// on which kernel produced it. The scalar reference kernel (64 ordinary
-/// queue BFS traversals bucketed into the same shape) exists to pin the
-/// bit-parallel kernel down: both must produce bit-identical levels, which
-/// is what tests/topology/batched_bfs_test.cc enforces and what lets the
+/// on which kernel produced it. The bit-parallel kernel gets that order
+/// without sorting: the push marks each node that joins the next level in
+/// a one-bit-per-node bitmap, and the level is emitted by scanning the
+/// bitmap's words in order, clearing each as it is read. The scalar
+/// reference kernel (64 ordinary queue BFS traversals bucketed into the
+/// same shape) exists to pin the bit-parallel kernel down: both must
+/// produce bit-identical levels, which is what
+/// tests/topology/batched_bfs_test.cc enforces and what lets the
 /// evaluation engine swap kernels without perturbing any downstream
 /// floating-point arithmetic.
 ///
@@ -134,16 +138,22 @@ class BatchedBfs {
 
  private:
   void PrepareRun(const Graph& graph, std::span<const NodeId> sources);
-  void SealLevel();
   void RunBitParallel(const Graph& graph, int max_depth);
+  void MarkNext(NodeId v) {
+    next_bits_[v / kBfsWordBits] |= std::uint64_t{1} << (v % kBfsWordBits);
+  }
+  // Calls emit(v) for every bit v of next_bits_, ascending, clearing each
+  // word as it is read, so the bitmap is all zero again on return.
+  template <typename Emit>
+  void DrainNextBits(Emit emit);
   void RunScalarReference(const Graph& graph,
                           std::span<const NodeId> sources, int max_depth);
 
-  std::vector<std::uint64_t> visited_;  // One source-bit word per node.
-  std::vector<std::uint64_t> next_;     // Level under construction.
-  std::vector<NodeId> touched_;         // Nodes with nonzero next_ word.
-  std::vector<BatchLevelEntry> entries_;     // All levels, concatenated.
-  std::vector<std::size_t> level_offsets_;   // num_levels() + 1 fenceposts.
+  std::vector<std::uint64_t> visited_;    // One source-bit word per node.
+  std::vector<std::uint64_t> next_;       // Level under construction.
+  std::vector<std::uint64_t> next_bits_;  // Bit v: v joins that level.
+  std::vector<BatchLevelEntry> entries_;    // All levels, concatenated.
+  std::vector<std::size_t> level_offsets_;  // num_levels() + 1 fenceposts.
   std::vector<std::pair<NodeId, int>> queue_;  // Scalar-reference BFS queue.
   std::size_t num_nodes_ = 0;
 };

@@ -1,9 +1,12 @@
+// ctest-label: threaded
 // Exact-output pins for the analytical evaluator: an FNV-1a digest of
 // every InstanceLoads field (each double by its bit pattern) on a fixed
 // set of instances. eval_identity_test.cc only holds the engines to each
 // other and golden_tables_test.cc pins tables rounded to 3 significant
 // figures, so a rewrite of the shared accumulation pipeline that moved
-// a single bit would pass both; it cannot pass these.
+// a single bit would pass both; it cannot pass these. Every pin is
+// evaluated both inline and on a four-worker pool, which must fold to
+// the same bits.
 //
 // The pins were taken before the word-level accumulate rewrite (parent
 // and reception derivation per frontier word, first-seen batch
@@ -62,6 +65,19 @@ std::uint64_t LoadsDigest(const InstanceLoads& loads) {
   return h;
 }
 
+/// Evaluation parallelism levels every pin is checked at.
+constexpr std::size_t kParallelism[] = {1, 4};
+
+/// Digest of `inst` evaluated with `parallelism` workers.
+std::uint64_t EvalDigest(const NetworkInstance& inst,
+                         const Configuration& config,
+                         std::size_t parallelism) {
+  EvalOptions options;
+  options.parallelism = parallelism;
+  return LoadsDigest(
+      EvaluateInstance(inst, config, ModelInputs::Default(), options));
+}
+
 /// `clusters` super-peers (flood sources) of `cluster_size` peers each.
 Configuration MakeConfig(std::size_t clusters, double cluster_size, int k,
                          int ttl) {
@@ -92,10 +108,12 @@ TEST_P(EvalDigestTest, PlodLoadsMatchPin) {
   const ModelInputs inputs = ModelInputs::Default();
   Rng rng(2003);
   const NetworkInstance inst = GenerateInstance(config, inputs, rng);
-  const std::uint64_t digest =
-      LoadsDigest(EvaluateInstance(inst, config, inputs));
-  EXPECT_EQ(digest, pin.digest)
-      << std::hex << "actual 0x" << digest << "ull";
+  for (const std::size_t parallelism : kParallelism) {
+    const std::uint64_t digest = EvalDigest(inst, config, parallelism);
+    EXPECT_EQ(digest, pin.digest) << "parallelism " << parallelism
+                                  << std::hex << ": actual 0x" << digest
+                                  << "ull";
+  }
 }
 
 // 4097 clusters leave a one-source remainder batch; TTL 0 and 1 put
@@ -135,13 +153,20 @@ INSTANTIATE_TEST_SUITE_P(
         PlodPin{4097, 10, 2, 4, 0xf1e02a6921e415e8ull},
         PlodPin{4097, 10, 2, 7, 0x5c18214eee6f340dull}));
 
-/// Evaluates `config` over a caller-built overlay.
-std::uint64_t DigestOver(Graph graph, const Configuration& config) {
+/// Evaluates `config` over a caller-built overlay at every parallelism
+/// level and requires each digest to equal `pin`.
+void ExpectDigestOver(Graph graph, const Configuration& config,
+                      std::uint64_t pin) {
   const ModelInputs inputs = ModelInputs::Default();
   Rng rng(2003);
   const NetworkInstance inst = GenerateInstanceWithTopology(
       Topology::FromGraph(std::move(graph)), config, inputs, rng);
-  return LoadsDigest(EvaluateInstance(inst, config, inputs));
+  for (const std::size_t parallelism : kParallelism) {
+    const std::uint64_t digest = EvalDigest(inst, config, parallelism);
+    EXPECT_EQ(digest, pin) << "ttl " << config.ttl << ", parallelism "
+                           << parallelism << std::hex << ": actual 0x"
+                           << digest << "ull";
+  }
 }
 
 TEST(EvalDigestTest, CompleteClosedFormMatchesPin) {
@@ -151,8 +176,10 @@ TEST(EvalDigestTest, CompleteClosedFormMatchesPin) {
   Rng rng(2003);
   const NetworkInstance inst = GenerateInstance(config, inputs, rng);
   ASSERT_TRUE(inst.topology.is_complete());
-  EXPECT_EQ(LoadsDigest(EvaluateInstance(inst, config, inputs)),
-            0xf2ca6e3275eec859ull);
+  for (const std::size_t parallelism : kParallelism) {
+    EXPECT_EQ(EvalDigest(inst, config, parallelism), 0xf2ca6e3275eec859ull)
+        << "parallelism " << parallelism;
+  }
 }
 
 /// A complete graph built as an explicit CSR overlay runs through the
@@ -166,10 +193,8 @@ TEST(EvalDigestTest, MaterializedCompleteMatchesPin) {
     for (NodeId u = 0; u < kN; ++u) {
       for (NodeId v = u + 1; v < kN; ++v) builder.AddEdge(u, v);
     }
-    const std::uint64_t digest =
-        DigestOver(builder.Build(), MakeConfig(kN, 10, 1, ttl));
-    EXPECT_EQ(digest, pins[ttl - 1])
-        << "ttl " << ttl << std::hex << ": actual 0x" << digest << "ull";
+    ExpectDigestOver(builder.Build(), MakeConfig(kN, 10, 1, ttl),
+                     pins[ttl - 1]);
   }
 }
 
@@ -183,10 +208,7 @@ TEST(EvalDigestTest, StarWithFullHubWordMatchesPin) {
   for (const int ttl : {0, 1, 2}) {
     GraphBuilder builder(kN);
     for (NodeId v = 1; v < kN; ++v) builder.AddEdge(0, v);
-    const std::uint64_t digest =
-        DigestOver(builder.Build(), MakeConfig(kN, 10, 1, ttl));
-    EXPECT_EQ(digest, pins[ttl])
-        << "ttl " << ttl << std::hex << ": actual 0x" << digest << "ull";
+    ExpectDigestOver(builder.Build(), MakeConfig(kN, 10, 1, ttl), pins[ttl]);
   }
 }
 

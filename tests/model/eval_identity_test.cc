@@ -7,7 +7,9 @@
 // any mismatch means a kernel bug, not an acceptable rounding wiggle;
 // EXPECT_EQ (not EXPECT_DOUBLE_EQ / NEAR) is deliberate.
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -196,7 +198,7 @@ TEST(EvalIdentityTest, KernelCountersIdenticalAcrossParallelism) {
   }
   for (const char* name :
        {"eval.sources", "eval.bfs.batches", "eval.bfs.levels",
-        "eval.bfs.frontier_entries", "eval.reached",
+        "eval.bfs.frontier_entries", "eval.bfs.edge_visits", "eval.reached",
         "eval.accumulate.neighbor_visits"}) {
     SCOPED_TRACE(name);
     EXPECT_GT(registries[0].CounterValue(name), 0u);
@@ -247,6 +249,51 @@ TEST(EvalIdentityTest, AccumulateNeighborVisitsPinned) {
     }
   }
   EXPECT_LT(2 * visits, per_source_scan);
+}
+
+/// The expand pushes every (node, source word) entry of the forwarding
+/// levels (depth < ttl) over each incident edge. The pin fails if that
+/// work grows; the second check rebuilds the same sum from single-source
+/// floods, merging the 64 floods of a batch that reach a node at the same
+/// depth into one entry.
+TEST(EvalIdentityTest, ExpandEdgeVisitsPinned) {
+  Configuration config;
+  config.graph_type = GraphType::kPowerLaw;
+  config.graph_size = 2000;
+  config.cluster_size = 1;
+  config.ttl = 4;
+  config.avg_outdegree = 3.1;
+  const ModelInputs inputs = ModelInputs::Default();
+  Rng rng(11);
+  const NetworkInstance inst = GenerateInstance(config, inputs, rng);
+
+  MetricsRegistry metrics;
+  EvalOptions options;
+  options.metrics = &metrics;
+  EvaluateInstance(inst, config, inputs, options);
+  const std::uint64_t visits = metrics.CounterValue("eval.bfs.edge_visits");
+  EXPECT_EQ(visits, 356661u);
+
+  const Graph& graph = inst.topology.graph();
+  const std::size_t n = inst.NumClusters();
+  std::uint64_t batch_entry_scan = 0;
+  FloodScratch scratch;
+  std::vector<std::set<NodeId>> forwarders(config.ttl);
+  for (std::size_t begin = 0; begin < n; begin += kBfsWordBits) {
+    for (auto& level : forwarders) level.clear();
+    for (std::size_t s = begin; s < std::min(n, begin + kBfsWordBits); ++s) {
+      FloodBfs(inst.topology, static_cast<NodeId>(s), config.ttl, scratch);
+      for (const NodeId u : scratch.order()) {
+        if (scratch.Depth(u) < config.ttl) {
+          forwarders[scratch.Depth(u)].insert(u);
+        }
+      }
+    }
+    for (const auto& level : forwarders) {
+      for (const NodeId u : level) batch_entry_scan += graph.Degree(u);
+    }
+  }
+  EXPECT_EQ(visits, batch_entry_scan);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // bit-parallel kernel must produce bit-identical per-level output to the
 // scalar reference kernel, and both must agree exactly with the
 // single-source flood depths of FloodBfs — including batch-remainder
-// sizes (N % 64 != 0), duplicate sources, and scratch reuse.
+// sizes (N % 64 != 0), duplicate sources, bitmap word boundaries, early
+// termination and scratch reuse.
 
 #include <algorithm>
 #include <cstdint>
@@ -181,6 +182,52 @@ TEST(BatchedBfsTest, ScratchReuseAcrossGraphSizes) {
   for (int round = 0; round < 3; ++round) {
     ExpectKernelsIdentical(a, batch_a, 6, bit_parallel, reference);
     ExpectKernelsIdentical(b, batch_b, 2, bit_parallel, reference);
+  }
+}
+
+TEST(BatchedBfsTest, ReuseAcrossPlodSizesMatchesFreshReference) {
+  // One bit-parallel instance reused across graphs whose sizes grow and
+  // shrink, with its next-level bitmap resized each time; every run is
+  // checked against a reference instance that has never run. Batches
+  // hold the tail node n - 1 (the last, partial bitmap word), ids 63 and
+  // 64 (a word boundary) and repeated sources.
+  BatchedBfs reused;
+  for (const std::size_t n : {130u, 64u, 200u, 130u}) {
+    SCOPED_TRACE(testing::Message() << "n = " << n);
+    const Graph g = MakePlod(n, 1000 + n);
+    const NodeId last = static_cast<NodeId>(n - 1);
+    std::vector<std::vector<NodeId>> batches = {
+        {last}, {63, last, 0, 63}, {last, last, 1, 2}};
+    if (n > 64) batches.push_back({64, 63, 64, last, 65});
+    std::vector<NodeId> full;
+    for (std::size_t i = 0; i < kBfsWordBits; ++i) {
+      full.push_back(static_cast<NodeId>(n - 1 - i % n));
+    }
+    batches.push_back(full);
+    for (const std::vector<NodeId>& sources : batches) {
+      for (const int ttl : {0, 2, 7}) {
+        BatchedBfs reference;
+        ExpectKernelsIdentical(g, sources, ttl, reused, reference);
+      }
+    }
+  }
+}
+
+TEST(BatchedBfsTest, EmptyLevelEndsRunBeforeMaxDepth) {
+  // Every flood on a 10-node path from node 0 or 2 dies out long before
+  // depth 50: the run must stop at its first empty level, record no
+  // empty levels, and leave the bitmap clean for the next run.
+  const Graph g = MakePath(10);
+  BatchedBfs bfs;
+  for (int round = 0; round < 2; ++round) {
+    BatchedBfs reference;
+    const std::vector<NodeId> sources = {0, 2};
+    ExpectKernelsIdentical(g, sources, 50, bfs, reference);
+    ASSERT_EQ(bfs.num_levels(), 10);  // Depths 0..9 from node 0.
+    for (int d = 0; d < bfs.num_levels(); ++d) {
+      EXPECT_FALSE(bfs.Level(d).empty()) << "level " << d;
+    }
+    EXPECT_EQ(bfs.Depth(1, 9), 7);
   }
 }
 
