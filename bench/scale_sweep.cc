@@ -4,6 +4,9 @@
 // every node a flood source). The scalar-reference engine runs
 // alongside the bit-parallel one up to 10^5 so the speedup and the
 // bit-identity of the two engines are measured, not assumed.
+// frontier_entries and bits_per_word (sources carried per (node, word)
+// entry: reached pairs / frontier entries) are deterministic counts of
+// the kernel's work, the figures the BFS source order moves.
 //
 // TTL is 4, not the Gnutella default 7: at TTL 7 the outdeg-3.1 PLOD
 // flood is supercritical (a 10^6-node instance reaches ~3.4e5 peers
@@ -15,6 +18,7 @@
 //
 // SPPNET_SCALE_MAX_N caps the sweep (CI smoke runs set it to 10000).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,6 +68,8 @@ struct EngineRun {
   double expand_seconds = 0.0;
   double accumulate_seconds = 0.0;
   double scratch_bytes = 0.0;
+  std::uint64_t frontier_entries = 0;  // (node, source word) level entries.
+  std::uint64_t reached = 0;           // (source, node) pairs reached.
   InstanceLoads loads;
 };
 
@@ -87,6 +93,8 @@ EngineRun RunEngine(const NetworkInstance& inst, const Configuration& config,
   result.expand_seconds = TimerSeconds(metrics, "eval.bfs.expand");
   result.accumulate_seconds = TimerSeconds(metrics, "eval.accumulate");
   result.scratch_bytes = metrics.GaugeValue("eval.scratch.bytes");
+  result.frontier_entries = metrics.CounterValue("eval.bfs.frontier_entries");
+  result.reached = metrics.CounterValue("eval.reached");
   return result;
 }
 
@@ -115,7 +123,8 @@ int Main() {
 
   const ModelInputs inputs = ModelInputs::Default();
   TableWriter table({"N", "engine", "workers", "eval_s", "expand_s",
-                     "accum_s", "Ksrc/s", "scratch_B/node", "speedup"});
+                     "accum_s", "Ksrc/s", "scratch_B/node", "speedup",
+                     "frontier_entries", "bits_per_word"});
   bool identity_ok = true;
 
   for (const std::size_t n : {std::size_t{10000}, std::size_t{100000},
@@ -168,7 +177,11 @@ int Main() {
                     Format(r.accumulate_seconds, 3),
                     Format(static_cast<double>(n) / r.seconds / 1e3, 4),
                     Format(r.scratch_bytes / static_cast<double>(n), 4),
-                    speedup > 0.0 ? Format(speedup, 3) : std::string("-")});
+                    speedup > 0.0 ? Format(speedup, 3) : std::string("-"),
+                    Format(r.frontier_entries),
+                    Format(static_cast<double>(r.reached) /
+                               static_cast<double>(r.frontier_entries),
+                           4)});
     }
     run.metrics()
         .GetGauge("scale.scratch_bytes_per_node.n" + Format(n))

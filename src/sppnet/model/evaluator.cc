@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -250,6 +251,10 @@ class Evaluator {
   // --- Sparse (power-law) query evaluation ---------------------------------
   //
   // Sources are processed in batches of 64 by the batched BFS kernel.
+  // Batch b holds entries [64b, 64b + 64) of BfsSourceOrder, sorted
+  // ascending, so bit i of every frontier word is the batch's i-th
+  // smallest source id. Sources close in the graph share a batch, so
+  // their floods share frontier entries.
   // One batch is evaluated in three stages, all of them shared between
   // the bit-parallel and scalar-reference engines (the engines differ
   // only in how the kernel's integer level lists are produced, which is
@@ -271,20 +276,15 @@ class Evaluator {
   // the calling thread, so evaluation parallelism never reorders any
   // floating-point reduction (the model/trials.cc contract).
 
-  BatchResult ComputeBatch(std::size_t b, BatchedBfs::Kernel kernel,
-                           BatchScratch& sc) {
+  /// `sources` ascending, at most kBfsWordBits of them.
+  BatchResult ComputeBatch(std::span<const NodeId> sources,
+                           BatchedBfs::Kernel kernel, BatchScratch& sc) {
     const Graph& graph = inst_.topology.graph();
     BatchResult res;
-    const std::size_t begin = b * kBfsWordBits;
-    const std::size_t end = std::min(n_, begin + kBfsWordBits);
-    const std::size_t batch_size = end - begin;
-    std::array<NodeId, kBfsWordBits> sources;
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      sources[i] = static_cast<NodeId>(begin + i);
-    }
+    const std::size_t batch_size = sources.size();
 
     const auto t0 = std::chrono::steady_clock::now();
-    sc.bfs.Run(graph, {sources.data(), batch_size}, config_.ttl, kernel);
+    sc.bfs.Run(graph, sources, config_.ttl, kernel);
     const auto t1 = std::chrono::steady_clock::now();
     res.expand_seconds = std::chrono::duration<double>(t1 - t0).count();
 
@@ -425,7 +425,7 @@ class Evaluator {
     // Intra-cluster query traffic of each source, by position.
     std::array<RawLoad, kBfsWordBits> source_pool{};
     for (std::size_t i = 0; i < batch_size; ++i) {
-      const std::size_t s = begin + i;
+      const NodeId s = sources[i];
       const double w = query_rate_of_cluster_[s];
       std::vector<ReachEntry>& list = sc.reach[i];
       const auto r_count = static_cast<std::uint32_t>(list.size());
@@ -574,6 +574,17 @@ class Evaluator {
     const BatchedBfs::Kernel kernel = options.engine == EvalEngine::kBatched
                                           ? BatchedBfs::Kernel::kBitParallel
                                           : BatchedBfs::Kernel::kScalarReference;
+    // One O(n + m) BFS per evaluation. Sorting each batch's slice makes
+    // level 0 ascending, so source i holds batch position i.
+    std::vector<NodeId> order = BfsSourceOrder(inst_.topology.graph());
+    const auto batch_sources = [&](std::size_t b) {
+      const std::size_t begin = b * kBfsWordBits;
+      return std::span<NodeId>(order).subspan(
+          begin, std::min(n_ - begin, kBfsWordBits));
+    };
+    for (std::size_t b = 0; b < num_batches; ++b) {
+      std::ranges::sort(batch_sources(b));
+    }
 
     double weighted_results = 0.0;
     double weighted_epl = 0.0;
@@ -614,7 +625,7 @@ class Evaluator {
     if (workers <= 1) {
       BatchScratch scratch(n_);
       for (std::size_t b = 0; b < num_batches; ++b) {
-        fold(ComputeBatch(b, kernel, scratch));
+        fold(ComputeBatch(batch_sources(b), kernel, scratch));
       }
     } else {
       // Workers claim batches in order off an atomic counter; the
@@ -642,7 +653,7 @@ class Evaluator {
               space_available.wait(
                   lock, [&] { return b < fold_cursor + window; });
             }
-            BatchResult r = ComputeBatch(b, kernel, scratch);
+            BatchResult r = ComputeBatch(batch_sources(b), kernel, scratch);
             {
               std::lock_guard<std::mutex> lock(mu);
               ready.emplace(b, std::move(r));

@@ -54,7 +54,9 @@ struct EvalOptions {
 /// counts are accumulated up the predecessor tree in reverse BFS order,
 /// which yields every node's exact expected forwarding load in
 /// O(nodes + edges) per source. Floods run 64 sources at a time over the
-/// batched BFS kernel (topology/bfs.h); the predecessor tree is the
+/// batched BFS kernel (topology/bfs.h), each batch a consecutive slice
+/// of BfsSourceOrder so that its sources are close in the graph and
+/// their frontiers overlap; the predecessor tree is the
 /// canonical one (parent = minimum-id neighbor one level closer to the
 /// source). Complete ("strongly connected") topologies are evaluated by
 /// closed form in O(nodes) total, exploiting the symmetry that every

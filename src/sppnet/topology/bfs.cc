@@ -186,6 +186,28 @@ std::optional<int> MinTtlForFullReach(const Topology& topo, NodeId source,
   return max_depth;
 }
 
+std::vector<NodeId> BfsSourceOrder(const Graph& graph) {
+  const std::size_t n = graph.num_nodes();
+  std::vector<NodeId> order;
+  order.reserve(n);
+  std::vector<bool> seen(n, false);
+  // `order` doubles as the BFS queue; `head` walks it.
+  std::size_t head = 0;
+  for (NodeId root = 0; root < n; ++root) {
+    if (seen[root]) continue;
+    seen[root] = true;
+    order.push_back(root);
+    for (; head < order.size(); ++head) {
+      for (const NodeId v : graph.Neighbors(order[head])) {
+        if (seen[v]) continue;
+        seen[v] = true;
+        order.push_back(v);
+      }
+    }
+  }
+  return order;
+}
+
 template <typename Emit>
 void BatchedBfs::DrainNextBits(Emit emit) {
   for (std::size_t w = 0; w < next_bits_.size(); ++w) {

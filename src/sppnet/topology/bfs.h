@@ -82,6 +82,16 @@ std::optional<double> EplForReach(const Topology& topo, NodeId source,
 std::optional<int> MinTtlForFullReach(const Topology& topo, NodeId source,
                                       FloodScratch& scratch);
 
+/// Every node of `graph` exactly once, in the order of one breadth-first
+/// search from node 0 over the sorted CSR neighbor lists that restarts
+/// from the lowest unvisited id whenever a component is exhausted. The
+/// evaluator cuts this order into 64-source batches: sources close in
+/// the graph share a batch, so their frontiers overlap and one (node,
+/// source-word) entry carries several floods (the source-locality
+/// argument of Then et al., "The More the Merrier", VLDB 2014).
+/// Deterministic: a function of the graph alone.
+std::vector<NodeId> BfsSourceOrder(const Graph& graph);
+
 /// One element of a batched-BFS level: bit i of `word` set means the
 /// flood from the batch's i-th source first reaches `node` at this level.
 struct BatchLevelEntry {

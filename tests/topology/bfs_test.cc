@@ -1,5 +1,9 @@
 #include "sppnet/topology/bfs.h"
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sppnet/common/rng.h"
@@ -203,6 +207,100 @@ TEST(MinTtlForFullReachTest, DisconnectedReturnsNullopt) {
   const Topology topo = Topology::FromGraph(builder.Build());
   FloodScratch scratch;
   EXPECT_FALSE(MinTtlForFullReach(topo, 0, scratch).has_value());
+}
+
+/// True if `order` holds every id of [0, n) exactly once.
+bool IsPermutation(std::vector<NodeId> order, std::size_t n) {
+  std::vector<NodeId> ids(n);
+  std::iota(ids.begin(), ids.end(), NodeId{0});
+  std::sort(order.begin(), order.end());
+  return order == ids;
+}
+
+Graph MakePlodGraph(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  PlodParams params;
+  params.target_avg_degree = 3.1;
+  return GeneratePlod(n, params, rng);
+}
+
+TEST(BfsSourceOrderTest, PermutationIdenticalAcrossCalls) {
+  const Graph g = MakePlodGraph(300, 4242);
+  const std::vector<NodeId> order = BfsSourceOrder(g);
+  EXPECT_TRUE(IsPermutation(order, g.num_nodes()));
+  EXPECT_EQ(order.front(), 0u);
+  EXPECT_EQ(BfsSourceOrder(g), order);
+  EXPECT_EQ(BfsSourceOrder(MakePlodGraph(300, 4242)), order);
+}
+
+// Each node joins the order when its first already-ordered neighbor is
+// scanned, so every node but a component's root has a neighbor earlier
+// in the order, and depth from the root never decreases.
+TEST(BfsSourceOrderTest, PlodOrderIsBreadthFirst) {
+  const Graph g = MakePlodGraph(500, 17);
+  const std::vector<NodeId> order = BfsSourceOrder(g);
+  ASSERT_TRUE(IsPermutation(order, g.num_nodes()));
+  std::vector<std::size_t> rank(g.num_nodes());
+  for (std::size_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
+  std::vector<int> depth(g.num_nodes(), 0);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const NodeId v = order[i];
+    NodeId parent = v;
+    for (const NodeId u : g.Neighbors(v)) {
+      if (rank[u] < rank[v] && (parent == v || rank[u] < rank[parent])) {
+        parent = u;
+      }
+    }
+    if (parent == v) {  // A new component starts at the lowest unvisited id.
+      for (NodeId u = 0; u < v; ++u) EXPECT_LT(rank[u], i) << "node " << u;
+      continue;
+    }
+    depth[v] = depth[parent] + 1;
+    EXPECT_GE(depth[v], depth[order[i - 1]]) << "position " << i;
+  }
+}
+
+// Neighbors are taken in ascending id order; each exhausted component is
+// followed by the lowest unvisited id, isolated nodes included.
+TEST(BfsSourceOrderTest, DisconnectedComponentsAndIsolatedNodes) {
+  GraphBuilder builder(9);
+  builder.AddEdge(0, 5);
+  builder.AddEdge(0, 2);
+  builder.AddEdge(5, 1);
+  builder.AddEdge(2, 3);
+  builder.AddEdge(2, 1);
+  builder.AddEdge(8, 6);
+  const std::vector<NodeId> expected = {0, 2, 5, 1, 3, 4, 6, 8, 7};
+  EXPECT_EQ(BfsSourceOrder(builder.Build()), expected);
+
+  const std::vector<NodeId> identity = {0, 1, 2, 3};
+  EXPECT_EQ(BfsSourceOrder(Graph(4)), identity);
+}
+
+// 130 nodes: two full 64-source batches and a remainder of 2. Every id
+// lands in exactly one batch slice.
+TEST(BfsSourceOrderTest, RemainderBatchCoversEveryNodeOnce) {
+  const Graph g = MakePlodGraph(130, 999);
+  const std::vector<NodeId> order = BfsSourceOrder(g);
+  ASSERT_EQ(order.size(), 130u);
+  std::vector<int> seen(g.num_nodes(), 0);
+  std::size_t batches = 0;
+  for (std::size_t begin = 0; begin < order.size(); begin += kBfsWordBits) {
+    const std::size_t end = std::min(order.size(), begin + kBfsWordBits);
+    for (std::size_t i = begin; i < end; ++i) ++seen[order[i]];
+    ++batches;
+    if (end == order.size()) {
+      EXPECT_EQ(end - begin, 2u);
+    }
+  }
+  EXPECT_EQ(batches, 3u);
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                          [](int c) { return c == 1; }));
+}
+
+TEST(BfsSourceOrderTest, EmptyAndSingleNodeGraphs) {
+  EXPECT_TRUE(BfsSourceOrder(Graph(0)).empty());
+  EXPECT_EQ(BfsSourceOrder(Graph(1)), std::vector<NodeId>{0});
 }
 
 }  // namespace
